@@ -21,7 +21,7 @@ test:
 check:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp|Partition|Deterministic|RunDecider' ./internal/local ./internal/fault ./internal/decomp ./internal/lll
+	$(GO) test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp|Deterministic|RunDecider' ./internal/local ./internal/fault ./internal/decomp ./internal/lll
 	$(GO) test -race -count=1 -run 'Race|Singleflight|Property|Flush|Cached' ./internal/server ./internal/cache ./internal/cluster
 	$(MAKE) serve-smoke
 	LOCAD_BENCH_REGRESSION=1 $(GO) test -count=1 -run TestBenchRegression .
@@ -76,8 +76,8 @@ fuzz:
 bench:
 	scripts/bench.sh BENCH_$(DATE).json
 
-# Message-engine + LLL subset (sharded scheduler vs goroutine engine,
-# Moser-Tardos resampling throughput), recorded the same way.
+# Message-engine + LLL subset (sharded scheduler, sequential and frugal
+# engines, Moser-Tardos resampling throughput), recorded the same way.
 bench-msg:
 	scripts/bench.sh BENCH_$(DATE)_msg.json 'Engine|MessageEngine|MoserTardos|LLL'
 

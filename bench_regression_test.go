@@ -33,20 +33,6 @@ type benchReport struct {
 		RoundOverhead    float64 `json:"round_overhead"`
 		OutputsMatch     bool    `json:"outputs_match"`
 	} `json:"msgred"`
-	Decomp *struct {
-		Beta   float64 `json:"beta"`
-		CPUs   int     `json:"cpus"`
-		Points []struct {
-			Graph            string  `json:"graph"`
-			Workers          int     `json:"workers"`
-			Balls            int     `json:"balls"`
-			CutFraction      float64 `json:"cut_fraction"`
-			IndexRoundsPerS  float64 `json:"index_rounds_per_sec"`
-			LowcutRoundsPerS float64 `json:"lowcut_rounds_per_sec"`
-			Speedup          float64 `json:"speedup"`
-			OutputsMatch     bool    `json:"outputs_match"`
-		} `json:"points"`
-	} `json:"decomp"`
 	DetLLL *struct {
 		Seeds  int `json:"seeds"`
 		Points []struct {
@@ -214,59 +200,6 @@ func TestBenchRegression(t *testing.T) {
 		}
 		if m.RoundOverhead > 2 {
 			t.Errorf("frugal round overhead %.2fx exceeds the 2x ceiling (%s)", m.RoundOverhead, path)
-		}
-	}
-
-	// Scheduler-sharding floors. The structural half binds everywhere: the
-	// recorded sweep must be non-empty, every point's low-cut and index
-	// shardings must have produced bit-identical outputs, every
-	// decomposition must be structurally sane (>= 1 ball, cut fraction in
-	// [0,1]). The locality half — low-cut shards within noise tolerance of
-	// index shards' best rounds/s per graph — is a CPU-parallelism effect, so like
-	// the cluster gate it binds only when the recording host had at least 4
-	// CPUs (DESIGN.md decision 9).
-	if dc := report.Decomp; dc == nil {
-		t.Logf("baseline %s has no \"decomp\" record; re-run scripts/bench.sh to gate scheduler sharding", path)
-	} else {
-		if len(dc.Points) == 0 {
-			t.Errorf("recorded decomp sweep has no points (%s)", path)
-		}
-		bestSpeedup := map[string]float64{}
-		for _, p := range dc.Points {
-			t.Logf("decomp %s workers %d: %d balls, cut %.4f — index %.0f vs low-cut %.0f rounds/s (%.2fx), match %v (%s)",
-				p.Graph, p.Workers, p.Balls, p.CutFraction,
-				p.IndexRoundsPerS, p.LowcutRoundsPerS, p.Speedup, p.OutputsMatch, path)
-			if !p.OutputsMatch {
-				t.Errorf("decomp %s at %d workers recorded diverging sharding outputs (%s)", p.Graph, p.Workers, path)
-			}
-			if p.Balls < 1 {
-				t.Errorf("decomp %s at %d workers recorded %d balls (%s)", p.Graph, p.Workers, p.Balls, path)
-			}
-			if p.CutFraction < 0 || p.CutFraction > 1 {
-				t.Errorf("decomp %s at %d workers recorded cut fraction %v (%s)", p.Graph, p.Workers, p.CutFraction, path)
-			}
-			if p.Speedup > bestSpeedup[p.Graph] {
-				bestSpeedup[p.Graph] = p.Speedup
-			}
-		}
-		if dc.CPUs >= 4 {
-			graphs := make([]string, 0, len(bestSpeedup))
-			for g := range bestSpeedup {
-				graphs = append(graphs, g)
-			}
-			sort.Strings(graphs)
-			for _, g := range graphs {
-				// 0.95x rather than 1.0x: the locality effect is robust on
-				// the structured families but the recorded numbers carry
-				// timing noise, and an exact parity floor would flake on a
-				// re-recorded baseline without any code regression.
-				if bestSpeedup[g] < 0.95 {
-					t.Errorf("decomp %s best low-cut speedup %.2fx is below the 0.95x floor on a %d-CPU host (%s)",
-						g, bestSpeedup[g], dc.CPUs, path)
-				}
-			}
-		} else {
-			t.Logf("decomp locality floor not binding: recorded on %d CPUs (<4); structural checks only (%s)", dc.CPUs, path)
 		}
 	}
 

@@ -229,13 +229,13 @@ func BenchmarkBuildView(b *testing.B) {
 }
 
 func BenchmarkMessageEngine(b *testing.B) {
-	// local.Run is the sharded scheduler; BenchmarkEngineGoroutine tracks
-	// the retained channel-based engine on the same shape of workload.
+	// local.Run is the sharded scheduler; BenchmarkEngineSequential tracks
+	// the sequential oracle on the same shape of workload.
 	g := graph.Grid2D(10, 10)
 	proto := &local.GatherProtocol{Radius: 2, Decide: func(view *local.View) any { return view.G.N() }}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := local.Run(g, proto, nil); err != nil {
+		if _, _, err := local.Run(g, proto, nil, local.RunConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -509,7 +509,10 @@ func BenchmarkRunBallParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, _ := local.RunBallConfig(g, advice, 4, count, local.RunConfig{Workers: workers})
+				out, _, err := local.RunBall(g, advice, 4, count, local.RunConfig{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
 				if out[0].(int) == 0 {
 					b.Fatal("empty view")
 				}
@@ -592,17 +595,6 @@ func BenchmarkE5DeltaColoring512(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineGoroutine(b *testing.B) {
-	g := graph.Grid2D(12, 12)
-	proto := &local.GatherProtocol{Radius: 2, Decide: func(view *local.View) any { return view.G.N() }}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := local.RunGoroutine(g, proto, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // floodProtocol floods the maximum ID seen so far for a fixed number of
 // rounds: the message-engine reference protocol of the 4096-node grid
 // benchmarks. Per-node work is a few comparisons, so these benchmarks
@@ -641,14 +633,15 @@ func (m *floodMachine) Round(round int, inbox []local.Message) ([]local.Message,
 func (m *floodMachine) Output() any { return m.best }
 
 // benchEngine4096 runs the flood reference protocol on a 4096-node grid
-// under the given message engine and reports rounds/s alongside ns/op.
-func benchEngine4096(b *testing.B, run func(*graph.Graph, local.Protocol, local.Advice) ([]any, local.Stats, error)) {
+// under the given message engine (default fan-out) and reports rounds/s
+// alongside ns/op.
+func benchEngine4096(b *testing.B, run func(*graph.Graph, local.Protocol, local.Advice, local.RunConfig) ([]any, local.Stats, error)) {
 	g := graph.Grid2D(64, 64)
 	proto := &floodProtocol{rounds: 8}
 	rounds := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, stats, err := run(g, proto, nil)
+		out, stats, err := run(g, proto, nil, local.RunConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -661,8 +654,6 @@ func benchEngine4096(b *testing.B, run func(*graph.Graph, local.Protocol, local.
 }
 
 func BenchmarkEngineScheduler4096(b *testing.B) { benchEngine4096(b, local.Run) }
-
-func BenchmarkEngineGoroutine4096(b *testing.B) { benchEngine4096(b, local.RunGoroutine) }
 
 // BenchmarkEngineFrugal4096 times the skeleton-simulating engine on the same
 // flood workload; the delta over BenchmarkEngineScheduler4096 is the cost of
@@ -678,7 +669,7 @@ func BenchmarkEngineSchedulerWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := local.RunMessageConfig(g, proto, nil, local.RunConfig{Workers: workers}); err != nil {
+				if _, _, err := local.Run(g, proto, nil, local.RunConfig{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -687,8 +678,7 @@ func BenchmarkEngineSchedulerWorkers(b *testing.B) {
 }
 
 // BenchmarkDecompose4096 times the seeded low-diameter decomposition on the
-// 4096-node grid — the shard-construction cost a partitioned scheduler run
-// pays once up front.
+// 4096-node grid.
 func BenchmarkDecompose4096(b *testing.B) {
 	g := graph.Grid2D(64, 64)
 	b.ResetTimer()
@@ -703,34 +693,12 @@ func BenchmarkDecompose4096(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSchedulerLowCut4096 is BenchmarkEngineScheduler4096 with
-// the decomposition's low-cut ball shards installed at 4 workers; the delta
-// against contiguous sharding at the same worker count is the locality
-// effect the "decomp" bench section records.
-func BenchmarkEngineSchedulerLowCut4096(b *testing.B) {
-	g := graph.Grid2D(64, 64)
-	proto := &floodProtocol{rounds: 8}
-	d, err := decomp.Decompose(g, 0.1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shards := d.Shards(4)
-	cfg := local.RunConfig{Workers: 4,
-		Partition: func(*graph.Graph, int) ([][]int32, error) { return shards, nil }}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := local.RunMessageConfig(g, proto, nil, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEngineSequential(b *testing.B) {
 	g := graph.Grid2D(12, 12)
 	proto := &local.GatherProtocol{Radius: 2, Decide: func(view *local.View) any { return view.G.N() }}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := local.RunSequential(g, proto, nil); err != nil {
+		if _, _, err := local.RunSequential(g, proto, nil, local.RunConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,65 +1,24 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"localadvice/internal/decomp"
-	"localadvice/internal/graph"
-	"localadvice/internal/local"
 )
 
-// decompPoint is one (graph, workers) measurement of the scheduler-sharding
-// comparison: the same flood workload swept with contiguous index shards
-// and with the decomposition's low-cut ball shards.
-type decompPoint struct {
-	Graph            string  `json:"graph"`
-	Nodes            int     `json:"nodes"`
-	EdgesM           int     `json:"edges"`
-	Workers          int     `json:"workers"`
-	Balls            int     `json:"balls"`
-	CutFraction      float64 `json:"cut_fraction"`
-	IndexRoundsPerS  float64 `json:"index_rounds_per_sec"`
-	LowcutRoundsPerS float64 `json:"lowcut_rounds_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	OutputsMatch     bool    `json:"outputs_match"`
-}
-
-// decompReport is the machine-readable comparison scripts/bench.sh embeds
-// as the "decomp" section and the bench-regression gate enforces.
-type decompReport struct {
-	Beta   float64       `json:"beta"`
-	Seed   int64         `json:"seed"`
-	CPUs   int           `json:"cpus"`
-	Points []decompPoint `json:"points"`
-}
-
-// cmdDecomp computes a low-diameter decomposition and reports it, or (with
-// -sched) benchmarks the sharded scheduler with low-cut ball shards against
-// contiguous index shards on a flood workload.
+// cmdDecomp computes a seeded low-diameter decomposition and reports its
+// ball count, radii and cut fraction.
 func cmdDecomp(args []string) error {
 	fs := flag.NewFlagSet("decomp", flag.ContinueOnError)
 	kind, n, seed := graphFlags(fs)
 	beta := fs.Float64("beta", 0.2, "decomposition rate β (cut fraction ~ O(β), radii ~ O(log n/β))")
 	workers := workersFlag(fs)
-	sched := fs.Bool("sched", false, "benchmark scheduler sharding: low-cut ball shards vs contiguous index shards")
-	graphsList := fs.String("graphs", "grid,torus,gnp", "comma-separated graph families for -sched")
-	schedWorkers := fs.String("sched-workers", "2,4,8", "comma-separated scheduler worker counts for -sched")
-	reps := fs.Int("reps", 3, "repetitions per -sched point (best wall time wins)")
-	jsonOut := fs.Bool("json", false, "emit the -sched comparison as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	w := applyWorkers(*workers)
-	if *sched {
-		return runDecompSched(*graphsList, *n, *seed, *beta, *schedWorkers, *reps, *jsonOut)
-	}
 
 	g, err := makeGraph(*kind, *n, *seed)
 	if err != nil {
@@ -80,133 +39,4 @@ func cmdDecomp(args []string) error {
 	fmt.Printf("  cut edges: %d of %d (fraction %.4f)\n", d.CutEdges, d.Edges, d.CutFraction())
 	fmt.Printf("  wall time: %s (validated)\n", elapsed.Round(time.Microsecond))
 	return nil
-}
-
-// runDecompSched is the -sched mode: for every (family, workers) pair, the
-// flood workload (min-ID source, horizon eccentricity+2) runs through the
-// sharded scheduler with contiguous index shards and with the precomputed
-// low-cut ball shards; each variant's best-of-reps wall time becomes a
-// rounds/s figure. The partition closure hands the scheduler precomputed
-// shards, so the timed region compares sweep locality, not decomposition
-// cost — and outputs are required to be bit-identical between the variants.
-func runDecompSched(graphsList string, n int, seed int64, beta float64, schedWorkers string, reps int, jsonOut bool) error {
-	families := strings.Split(graphsList, ",")
-	var workerCounts []int
-	for _, s := range strings.Split(schedWorkers, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || w < 2 {
-			return fmt.Errorf("decomp -sched-workers: %q is not a worker count >= 2", s)
-		}
-		workerCounts = append(workerCounts, w)
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	rep := decompReport{Beta: beta, Seed: seed, CPUs: runtime.NumCPU()}
-	scratch := graph.NewBFSScratch()
-	for _, family := range families {
-		family = strings.TrimSpace(family)
-		g, err := makeGraph(family, n, seed)
-		if err != nil {
-			return err
-		}
-		d, err := decomp.Decompose(g, beta, seed)
-		if err != nil {
-			return err
-		}
-		src, minID := 0, g.ID(0)
-		for v := 1; v < g.N(); v++ {
-			if id := g.ID(v); id < minID {
-				src, minID = v, id
-			}
-		}
-		ecc := 0
-		for _, u := range g.BFSWithin(src, -1, scratch) {
-			if dd := scratch.Dist(int(u)); dd > ecc {
-				ecc = dd
-			}
-		}
-		p := &local.FloodProtocol{SourceID: minID, Rounds: ecc + 2}
-
-		for _, w := range workerCounts {
-			shards := d.Shards(w)
-			lowcut := func(*graph.Graph, int) ([][]int32, error) { return shards, nil }
-			idxOut, idxRate, err := bestFloodRate(g, p, local.RunConfig{Workers: w}, reps)
-			if err != nil {
-				return fmt.Errorf("decomp %s workers %d: index shards: %w", family, w, err)
-			}
-			lcOut, lcRate, err := bestFloodRate(g, p, local.RunConfig{Workers: w, Partition: lowcut}, reps)
-			if err != nil {
-				return fmt.Errorf("decomp %s workers %d: low-cut shards: %w", family, w, err)
-			}
-			match := len(idxOut) == len(lcOut)
-			if match {
-				for v := range idxOut {
-					if idxOut[v] != lcOut[v] {
-						match = false
-						break
-					}
-				}
-			}
-			pt := decompPoint{
-				Graph: family, Nodes: g.N(), EdgesM: g.M(), Workers: w,
-				Balls: d.Balls(), CutFraction: d.CutFraction(),
-				IndexRoundsPerS: idxRate, LowcutRoundsPerS: lcRate,
-				OutputsMatch: match,
-			}
-			if idxRate > 0 {
-				pt.Speedup = lcRate / idxRate
-			}
-			rep.Points = append(rep.Points, pt)
-		}
-	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-	} else {
-		fmt.Printf("decomp sched bench: beta=%g seed=%d cpus=%d (flood workload, best of %d)\n",
-			rep.Beta, rep.Seed, rep.CPUs, reps)
-		for _, pt := range rep.Points {
-			fmt.Printf("  %-6s n=%d m=%d w=%d: %d balls, cut %.4f — index %.0f rounds/s, low-cut %.0f rounds/s (%.2fx), match %v\n",
-				pt.Graph, pt.Nodes, pt.EdgesM, pt.Workers, pt.Balls, pt.CutFraction,
-				pt.IndexRoundsPerS, pt.LowcutRoundsPerS, pt.Speedup, pt.OutputsMatch)
-		}
-	}
-	for _, pt := range rep.Points {
-		if !pt.OutputsMatch {
-			return fmt.Errorf("decomp: sharding variants diverged on %s at %d workers", pt.Graph, pt.Workers)
-		}
-	}
-	return nil
-}
-
-// bestFloodRate runs the flood through the sharded scheduler reps times and
-// returns the last outputs plus the best-wall-time rounds/s.
-func bestFloodRate(g *graph.Graph, p *local.FloodProtocol, cfg local.RunConfig, reps int) ([]any, float64, error) {
-	var (
-		out  []any
-		st   local.Stats
-		best time.Duration
-	)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		o, s, err := local.RunMessageConfig(g, p, nil, cfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		wall := time.Since(start)
-		if i == 0 || wall < best {
-			best = wall
-		}
-		out, st = o, s
-	}
-	rate := 0.0
-	if best > 0 {
-		rate = float64(st.Rounds) / best.Seconds()
-	}
-	return out, rate, nil
 }

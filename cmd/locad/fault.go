@@ -14,9 +14,9 @@ import (
 // cmdFault drives the deterministic fault-injection layer from the command
 // line. Advice-corruption classes (flip, truncate, reassign) run a schema's
 // encode → corrupt → decode → verify pipeline repeatedly and classify each
-// repetition; the crash class runs the view-gathering protocol on a message
-// engine with a node crashing at a chosen round and reports which outputs
-// carry a crash error.
+// repetition; the crash class runs the view-gathering workload on any engine
+// with a node crashing at a chosen round and reports which outputs carry a
+// crash error.
 func cmdFault(args []string) error {
 	fs := flag.NewFlagSet("fault", flag.ContinueOnError)
 	kind, n, seed := graphFlags(fs)
@@ -27,7 +27,7 @@ func cmdFault(args []string) error {
 	crashNode := fs.Int("node", 0, "crash class: node index that crashes")
 	crashRound := fs.Int("round", 1, "crash class: round at which the node crashes")
 	radius := fs.Int("radius", 2, "crash class: view radius of the gather protocol")
-	engine := fs.String("engine", "message", "crash class: engine (message, goroutine, sequential)")
+	engine := engineFlag(fs, "crash class: engine")
 	workers := workersFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,9 +74,10 @@ func cmdFault(args []string) error {
 	return nil
 }
 
-// runCrash executes the gather protocol with one node crashing at a given
-// round and reports per-node outcomes: the crashed node's output slot holds a
-// fault.CrashError, every other node still terminates with a view.
+// runCrash executes the view-gathering workload with one node crashing at a
+// given round and reports per-node outcomes: the crashed node's output slot
+// holds a fault.CrashError, every other node still terminates with a view.
+// On the ball engine a crash only fires within the view radius.
 func runCrash(gg *graph.Graph, node, round, radius int, engine string, workers int) error {
 	if node < 0 || node >= gg.N() {
 		return fmt.Errorf("crash node %d out of range [0,%d)", node, gg.N())
@@ -85,22 +86,7 @@ func runCrash(gg *graph.Graph, node, round, radius int, engine string, workers i
 		Workers: workers,
 		Fault:   &fault.Plan{CrashNode: node, CrashRound: round},
 	}
-	decide := func(view *local.View) any { return view.G.N()*1_000_000 + view.G.M() }
-	protocol := &local.GatherProtocol{Radius: radius, Decide: decide}
-
-	var outputs []any
-	var stats local.Stats
-	var err error
-	switch engine {
-	case "message":
-		outputs, stats, err = local.RunMessageConfig(gg, protocol, nil, cfg)
-	case "goroutine":
-		outputs, stats, err = local.RunGoroutineConfig(gg, protocol, nil, cfg)
-	case "sequential":
-		outputs, stats, err = local.RunSequentialConfig(gg, protocol, nil, cfg)
-	default:
-		return fmt.Errorf("unknown engine %q for crash faults (have message, goroutine, sequential)", engine)
-	}
+	outputs, stats, err := local.RunDecider(engine, gg, nil, radius, viewSize, cfg)
 	if err != nil {
 		return err
 	}

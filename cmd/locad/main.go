@@ -6,7 +6,7 @@
 //
 //	locad exp [E1 ... E11]       run experiments (all by default)
 //	locad exp -trace t.jsonl -profile cpu.pprof -summary s.json
-//	locad trace -engine message -graph torus -n 256 -o trace.jsonl
+//	locad trace -engine scheduler -graph torus -n 256 -o trace.jsonl
 //	locad fault -schema color3 -class flip -rate 0.05 -runs 10
 //	locad orient  -graph cycle -n 200
 //	locad color3  -graph cycle -n 120
@@ -113,28 +113,27 @@ subcommands:
   compress          compress and decompress a random edge subset
   graphinfo         print a generated graph's parameters
   engine            run the radius-T view-gathering reference protocol on a
-                    chosen execution engine (-engine {ball,message,goroutine,
+                    chosen execution engine (-engine {ball,scheduler,
                     sequential,frugal} -workers <w>) and report rounds/
                     messages/time
   msgred            measure the frugal engine's message/byte reduction vs the
                     stock scheduler on a flood workload (-graph, -n, -rho,
                     -json)
   decomp            compute a seeded (β, O(log n/β)) low-diameter ball
-                    decomposition and report balls/radii/cut fraction; -sched
-                    benchmarks the scheduler with low-cut ball shards vs
-                    contiguous index shards (-graphs -sched-workers -reps
-                    -json)
+                    decomposition and report balls/radii/cut fraction
   detlll            compare LLL resolution methods (seeded Moser-Tardos vs the
                     deterministic conditional-expectations and decomposed
                     solvers) on one graph: solver work, seed-independence of
                     the advice, and the det-mode schemas' warm cache hit-rate
                     advantage under rotating request seeds (-schemas -seeds
                     -cap -json)
-  trace             run the engine workload with metrics attached and write a
-                    JSONL per-round trace (-o <file>, -profile <cpu.pprof>)
+  trace             run the engine workload with metrics attached on any
+                    -engine and write a JSONL per-round trace (-o <file>,
+                    -profile <cpu.pprof>)
   fault             inject faults (-class {flip,truncate,reassign,crash}) into
-                    a schema run or an engine run and report the outcome of
-                    every repetition (valid / detected / crashed)
+                    a schema run or an engine run (crash: any -engine) and
+                    report the outcome of every repetition (valid / detected
+                    / crashed)
   prove             emit a 1-bit locally checkable proof that an LCL is solvable
   verifyproof       run the distributed verifier on a proof string
   dot               render a graph (+ optional schema overlay) as Graphviz DOT
@@ -414,16 +413,28 @@ func cmdCompress(args []string) error {
 	return nil
 }
 
+// engineFlag registers the shared -engine flag of the engine, trace and
+// fault subcommands: any name in local.EngineNames, dispatched through
+// local.RunDecider.
+func engineFlag(fs *flag.FlagSet, usage string) *string {
+	return fs.String("engine", "scheduler", usage+": "+strings.Join(local.EngineNames(), ", "))
+}
+
+// viewSize is the decide function of the engine, trace and fault
+// subcommands' reference workload: a pure function of the radius-T view, so
+// every engine computes the same per-node value.
+func viewSize(view *local.View) any { return view.G.N()*1_000_000 + view.G.M() }
+
 // cmdEngine runs the radius-T view-gathering reference protocol — the
 // workload the engine-equivalence tests pin — on a selectable execution
 // engine, for message-engine experiments and worker-count sweeps. All
-// engines produce identical outputs and rounds; the message engines
-// additionally report the delivered message count.
+// engines produce identical outputs; the message engines additionally
+// report the delivered message count.
 func cmdEngine(args []string) error {
 	fs := flag.NewFlagSet("engine", flag.ContinueOnError)
 	kind, n, seed := graphFlags(fs)
 	radius := fs.Int("radius", 2, "view radius T of the reference protocol")
-	engine := fs.String("engine", "message", "execution engine: ball, message (sharded scheduler), goroutine, sequential, frugal (skeleton transport)")
+	engine := engineFlag(fs, "execution engine")
 	workers := workersFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -433,27 +444,9 @@ func cmdEngine(args []string) error {
 	if err != nil {
 		return err
 	}
-	decide := func(view *local.View) any { return view.G.N()*1_000_000 + view.G.M() }
 
-	var (
-		outputs []any
-		stats   local.Stats
-	)
 	start := time.Now()
-	switch *engine {
-	case "ball":
-		outputs, stats = local.RunBallConfig(g, nil, *radius, decide, local.RunConfig{Workers: w})
-	case "message":
-		outputs, stats, err = local.RunMessageConfig(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil, local.RunConfig{Workers: w})
-	case "goroutine":
-		outputs, stats, err = local.RunGoroutine(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil)
-	case "sequential":
-		outputs, stats, err = local.RunSequential(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil)
-	case "frugal":
-		outputs, stats, err = local.RunFrugalConfig(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil, local.RunConfig{Workers: w})
-	default:
-		return fmt.Errorf("unknown engine %q (have ball, message, goroutine, sequential, frugal)", *engine)
-	}
+	outputs, stats, err := local.RunDecider(*engine, g, nil, *radius, viewSize, local.RunConfig{Workers: w})
 	if err != nil {
 		return err
 	}

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"localadvice/internal/local"
 	"localadvice/internal/persist"
 
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -30,6 +33,7 @@ func TestMain(m *testing.M) {
 }
 
 func TestRunSubcommands(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 	tests := []struct {
 		name string
 		args []string
@@ -41,16 +45,17 @@ func TestRunSubcommands(t *testing.T) {
 		{"compress", []string{"compress", "-d", "4", "-n", "80"}},
 		{"graphinfo", []string{"graphinfo", "-graph", "grid", "-n", "49"}},
 		{"exp e2", []string{"exp", "E2"}},
-		{"engine message", []string{"engine", "-graph", "grid", "-n", "100", "-radius", "2", "-engine", "message", "-workers", "2"}},
+		{"engine scheduler", []string{"engine", "-graph", "grid", "-n", "100", "-radius", "2", "-engine", "scheduler", "-workers", "2"}},
 		{"engine ball", []string{"engine", "-graph", "cycle", "-n", "64", "-engine", "ball"}},
-		{"engine goroutine", []string{"engine", "-graph", "torus", "-n", "36", "-engine", "goroutine"}},
 		{"engine sequential", []string{"engine", "-graph", "grid", "-n", "49", "-engine", "sequential"}},
 		{"engine frugal", []string{"engine", "-graph", "grid", "-n", "100", "-engine", "frugal"}},
+		{"trace frugal", []string{"trace", "-graph", "grid", "-n", "49", "-engine", "frugal", "-o", tracePath}},
+		{"fault crash ball", []string{"fault", "-graph", "cycle", "-n", "30", "-class", "crash", "-node", "3", "-round", "2", "-engine", "ball"}},
+		{"fault crash frugal", []string{"fault", "-graph", "cycle", "-n", "30", "-class", "crash", "-node", "3", "-round", "2", "-engine", "frugal"}},
 		{"msgred", []string{"msgred", "-graph", "cycle", "-n", "64"}},
 		{"msgred json", []string{"msgred", "-graph", "grid", "-n", "49", "-rho", "1", "-json"}},
 		{"decomp", []string{"decomp", "-graph", "grid", "-n", "100", "-beta", "0.3"}},
 		{"decomp gnp", []string{"decomp", "-graph", "gnp", "-n", "64", "-beta", "0.5", "-workers", "2"}},
-		{"decomp sched", []string{"decomp", "-sched", "-graphs", "grid,gnp", "-n", "144", "-sched-workers", "2", "-reps", "1", "-json"}},
 		{"detlll", []string{"detlll", "-graph", "cycle", "-n", "96", "-seeds", "2", "-no-warm"}},
 		{"detlll json warm", []string{"detlll", "-graph", "cycle", "-n", "96", "-seeds", "2", "-schemas", "orient", "-json"}},
 		{"prove mis", []string{"prove", "-graph", "cycle", "-n", "150", "-problem", "mis", "-radius", "25"}},
@@ -75,13 +80,14 @@ func TestRunErrors(t *testing.T) {
 		{"unknown experiment", []string{"exp", "E99"}},
 		{"unknown graph", []string{"orient", "-graph", "klein-bottle"}},
 		{"unknown engine", []string{"engine", "-engine", "steam"}},
+		{"removed engine", []string{"engine", "-engine", "goroutine"}},
+		{"unknown crash engine", []string{"fault", "-class", "crash", "-engine", "message"}},
 		{"bad proof problem", []string{"prove", "-problem", "traveling-salesman"}},
 		{"wrong proof length", []string{"verifyproof", "-graph", "cycle", "-n", "10", "-proof", "01"}},
 		{"bad proof chars", []string{"verifyproof", "-graph", "cycle", "-n", "3", "-proof", "0x1"}},
 		{"msgred zero rho", []string{"msgred", "-graph", "cycle", "-n", "32", "-rho", "0"}},
 		{"msgred negative rho", []string{"msgred", "-graph", "cycle", "-n", "32", "-rho", "-2"}},
 		{"decomp bad beta", []string{"decomp", "-graph", "cycle", "-n", "32", "-beta", "-1"}},
-		{"decomp bad sched workers", []string{"decomp", "-sched", "-sched-workers", "1"}},
 		{"detlll bad schema", []string{"detlll", "-schemas", "mystery"}},
 		{"detlll bad seeds", []string{"detlll", "-seeds", "0"}},
 	}
@@ -91,6 +97,25 @@ func TestRunErrors(t *testing.T) {
 				t.Errorf("run(%v) succeeded, want error", tt.args)
 			}
 		})
+	}
+}
+
+// TestNegativeRadiusOneLine pins that engine, trace and crash-fault runs
+// with -radius -1 fail on every engine with the typed negative-radius error,
+// reported as a single line.
+func TestNegativeRadiusOneLine(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "trace.jsonl")
+	for _, engine := range local.EngineNames() {
+		for _, args := range [][]string{
+			{"engine", "-graph", "cycle", "-n", "20", "-radius", "-1", "-engine", engine},
+			{"trace", "-graph", "cycle", "-n", "20", "-radius", "-1", "-engine", engine, "-o", out},
+			{"fault", "-graph", "cycle", "-n", "20", "-class", "crash", "-radius", "-1", "-engine", engine},
+		} {
+			err := run(args)
+			if !errors.Is(err, local.ErrNegativeRadius) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("run(%v): err = %v, want a one-line ErrNegativeRadius", args, err)
+			}
+		}
 	}
 }
 

@@ -82,11 +82,11 @@ func cmdMsgred(args []string) error {
 	p := &local.FloodProtocol{SourceID: minID, Rounds: ecc + 2}
 
 	var stockC, frugalC obs.Collector
-	stockOut, stockStats, err := local.RunMessageConfig(g, p, nil, local.RunConfig{Workers: w, Metrics: &stockC})
+	stockOut, stockStats, err := local.Run(g, p, nil, local.RunConfig{Workers: w, Metrics: &stockC})
 	if err != nil {
 		return fmt.Errorf("stock engine: %w", err)
 	}
-	frugalOut, frugalStats, err := local.RunFrugalConfig(g, p, nil, local.RunConfig{Workers: w, FrugalRadius: *rho, Metrics: &frugalC})
+	frugalOut, frugalStats, err := local.RunFrugal(g, p, nil, local.RunConfig{Workers: w, FrugalRadius: *rho, Metrics: &frugalC})
 	if err != nil {
 		return fmt.Errorf("frugal engine: %w", err)
 	}

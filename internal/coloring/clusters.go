@@ -226,9 +226,12 @@ func (c ClusterColoringStage) DecodeVar(g *graph.Graph, va core.VarAdvice, _ []*
 	}
 	advice := va.Dense(g.N())
 	delta := g.MaxDegree()
-	outputs, stats := local.RunBall(g, advice, c.DecodeRadius(), func(view *local.View) any {
+	outputs, stats, err := local.RunBall(g, advice, c.DecodeRadius(), func(view *local.View) any {
 		return c.decodeNode(view, delta)
-	})
+	}, local.RunConfig{})
+	if err != nil {
+		return nil, stats, err
+	}
 	sol := lcl.NewSolution(g)
 	for v, out := range outputs {
 		if err, isErr := out.(error); isErr {

@@ -9,21 +9,10 @@ import (
 	"localadvice/internal/local"
 )
 
-// Decode runs the LOCAL 3-coloring decoder on one-bit-per-node advice.
+// Decode runs the LOCAL 3-coloring decoder on one-bit-per-node advice on
+// the ball engine.
 func (t ThreeColoring) Decode(g *graph.Graph, advice local.Advice) (*lcl.Solution, local.Stats, error) {
-	if err := t.validate(); err != nil {
-		return nil, local.Stats{}, err
-	}
-	if len(advice) != g.N() {
-		return nil, local.Stats{}, fmt.Errorf("coloring: advice length %d for %d nodes", len(advice), g.N())
-	}
-	for v, s := range advice {
-		if s.Len() != 1 {
-			return nil, local.Stats{}, fmt.Errorf("coloring: node %d holds %d bits, want 1", v, s.Len())
-		}
-	}
-	outputs, stats := local.RunBall(g, advice, t.DecodeRadius(), t.decodeNode)
-	return t.assembleColors(stats, g, outputs)
+	return t.DecodeOn("ball", g, advice, local.RunConfig{})
 }
 
 // DecodeOn is Decode running on a named engine (local.EngineNames) via

@@ -156,13 +156,16 @@ func (c OneBitCodec) Decode(g *graph.Graph, advice local.Advice) (VarAdvice, loc
 			return nil, local.Stats{}, fmt.Errorf("core: node %d holds %d bits, want 1", v, s.Len())
 		}
 	}
-	outputs, stats := local.RunBall(g, advice, c.Radius, func(view *local.View) any {
+	outputs, stats, err := local.RunBall(g, advice, c.Radius, func(view *local.View) any {
 		payload, ok := decodeCenter(view)
 		if !ok {
 			return nil
 		}
 		return payload
-	})
+	}, local.RunConfig{})
+	if err != nil {
+		return nil, stats, err
+	}
 	va := make(VarAdvice)
 	for v, out := range outputs {
 		if out != nil {

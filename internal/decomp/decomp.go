@@ -16,8 +16,8 @@
 // worker and the claims are merged single-threaded in worker order, which
 // reproduces the sequential first-discoverer-wins order exactly. That makes
 // it safe to use both as a measurable workload (experiment E11, `locad
-// decomp`) and as the scheduler's locality-aware sharding stage
-// (ShardPartition).
+// decomp`) and as the ball schedule of the decomposition-guided LLL solver
+// (lll.SolveDecomposed, via EventGraph).
 package decomp
 
 import (

@@ -231,78 +231,3 @@ func TestDecomposeBetaScaling(t *testing.T) {
 		t.Fatalf("beta 2 max radius %d exceeds beta 0.05's %d", fine.MaxRadius(), coarse.MaxRadius())
 	}
 }
-
-// TestShardsPartitionValidity checks the shard packing over worker counts:
-// exactly `workers` lists, every node exactly once, ascending node order
-// inside each shard, and whole balls (no ball split across shards).
-func TestShardsPartitionValidity(t *testing.T) {
-	for name, g := range decompGraphs(t, 7) {
-		d, err := Decompose(g, 0.3, 7)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			shards := d.Shards(workers)
-			if len(shards) != workers {
-				t.Fatalf("%s workers %d: got %d shards", name, workers, len(shards))
-			}
-			owner := make([]int, g.N())
-			for i := range owner {
-				owner[i] = -1
-			}
-			for w, nodes := range shards {
-				for i, v := range nodes {
-					if v < 0 || int(v) >= g.N() {
-						t.Fatalf("%s workers %d: shard %d has out-of-range node %d", name, workers, w, v)
-					}
-					if i > 0 && nodes[i-1] >= v {
-						t.Fatalf("%s workers %d: shard %d not in ascending order", name, workers, w)
-					}
-					if owner[v] != -1 {
-						t.Fatalf("%s workers %d: node %d in shards %d and %d", name, workers, v, owner[v], w)
-					}
-					owner[v] = w
-				}
-			}
-			for v, w := range owner {
-				if w == -1 {
-					t.Fatalf("%s workers %d: node %d unassigned", name, workers, v)
-				}
-				if c := d.Centers[d.Ball[v]]; owner[c] != w {
-					t.Fatalf("%s workers %d: ball %d split across shards %d and %d",
-						name, workers, d.Ball[v], owner[c], w)
-				}
-			}
-		}
-	}
-}
-
-// TestShardsBalance bounds the greedy packing's imbalance: no shard exceeds
-// the ideal load by more than the largest ball (the classic greedy
-// guarantee for whole-item packing).
-func TestShardsBalance(t *testing.T) {
-	g := graph.Torus2D(16, 16)
-	d, err := Decompose(g, 0.3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	largest := 0
-	sizes := make([]int, d.Balls())
-	for _, b := range d.Ball {
-		sizes[b]++
-	}
-	for _, s := range sizes {
-		if s > largest {
-			largest = s
-		}
-	}
-	for _, workers := range []int{2, 4, 8} {
-		ideal := (g.N() + workers - 1) / workers
-		for w, nodes := range d.Shards(workers) {
-			if len(nodes) > ideal+largest {
-				t.Fatalf("workers %d: shard %d holds %d nodes (ideal %d, largest ball %d)",
-					workers, w, len(nodes), ideal, largest)
-			}
-		}
-	}
-}

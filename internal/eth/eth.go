@@ -83,11 +83,17 @@ func CanonicalizeView(view *local.View) string {
 // it reports an error naming the first node whose output changed. Passing
 // the check over many trials is evidence (not proof) of order invariance.
 func CheckOrderInvariant(g *graph.Graph, advice local.Advice, radius int, algo local.BallAlgorithm, rng *rand.Rand, trials int) error {
-	base, _ := local.RunBall(g, advice, radius, algo)
+	base, _, err := local.RunBall(g, advice, radius, algo, local.RunConfig{})
+	if err != nil {
+		return err
+	}
 	for trial := 0; trial < trials; trial++ {
 		h := g.Clone()
 		graph.RemapIDsOrderPreserving(h, rng)
-		out, _ := local.RunBall(h, advice, radius, algo)
+		out, _, err := local.RunBall(h, advice, radius, algo, local.RunConfig{})
+		if err != nil {
+			return err
+		}
 		for v := range out {
 			if out[v] != base[v] {
 				return fmt.Errorf("eth: node %d output changed under remap trial %d: %v vs %v", v, trial, base[v], out[v])
@@ -159,13 +165,16 @@ func (t *Table) Run(g *graph.Graph, advice local.Advice) ([]any, local.Stats, er
 	// Missing-entry errors are returned as per-node outputs (not captured
 	// state): the ball algorithm must stay a pure function of the view now
 	// that RunBall fans out over workers.
-	outputs, stats := local.RunBall(g, advice, t.Radius, func(view *local.View) any {
+	outputs, stats, err := local.RunBall(g, advice, t.Radius, func(view *local.View) any {
 		out, ok := t.Entries[CanonicalizeView(view)]
 		if !ok {
 			return fmt.Errorf("eth: view %q not in table", CanonicalizeView(view))
 		}
 		return out
-	})
+	}, local.RunConfig{})
+	if err != nil {
+		return nil, stats, err
+	}
 	for _, out := range outputs {
 		if err, isErr := out.(error); isErr {
 			return nil, stats, err

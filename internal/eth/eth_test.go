@@ -118,7 +118,10 @@ func TestCompileAndRunTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := local.RunBall(test, adv, 1, rankAlgo)
+	want, _, err := local.RunBall(test, adv, 1, rankAlgo, local.RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := range got {
 		if got[v] != want[v] {
 			t.Fatalf("node %d: table %v, algo %v", v, got[v], want[v])

@@ -64,7 +64,10 @@ func TestTableSaveLoadRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := local.RunBall(g, adv, 1, rankAlgo)
+	want, _, err := local.RunBall(g, adv, 1, rankAlgo, local.RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := range got {
 		if got[v] != want[v] {
 			t.Fatalf("node %d: %v vs %v", v, got[v], want[v])

@@ -93,9 +93,12 @@ func (s Schema) Decode(g *graph.Graph, advice local.Advice) (*lcl.Solution, loca
 			return nil, local.Stats{}, fmt.Errorf("growth: node %d holds %d bits, want 1", v, a.Len())
 		}
 	}
-	outputs, stats := local.RunBall(g, advice, s.DecodeRadius(), func(view *local.View) any {
+	outputs, stats, err := local.RunBall(g, advice, s.DecodeRadius(), func(view *local.View) any {
 		return s.decodeNode(view)
-	})
+	}, local.RunConfig{})
+	if err != nil {
+		return nil, stats, err
+	}
 	sol := lcl.NewSolution(g)
 	useNodes := s.Problem.NodeAlphabet() != nil
 	useEdges := s.Problem.EdgeAlphabet() != nil

@@ -56,9 +56,12 @@ func (s Schema) VerifyProof(g *graph.Graph, advice local.Advice) (ProofResult, e
 	// failing node rather than a global error.
 	sol := lcl.NewSolution(g)
 	decodeFailed := make([]bool, g.N())
-	outputs, _ := local.RunBall(g, advice, s.DecodeRadius(), func(view *local.View) any {
+	outputs, _, err := local.RunBall(g, advice, s.DecodeRadius(), func(view *local.View) any {
 		return s.decodeNode(view)
-	})
+	}, local.RunConfig{})
+	if err != nil {
+		return ProofResult{}, err
+	}
 	useNodes := s.Problem.NodeAlphabet() != nil
 	useEdges := s.Problem.EdgeAlphabet() != nil
 	for v, out := range outputs {

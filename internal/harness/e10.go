@@ -62,11 +62,11 @@ func RunE10() (*Table, error) {
 		p := &local.FloodProtocol{SourceID: minID, Rounds: ecc + 2}
 
 		var stockC, frugalC obs.Collector
-		stockOut, stockStats, err := local.RunMessageConfig(g, p, nil, local.RunConfig{Workers: 1, Metrics: &stockC})
+		stockOut, stockStats, err := local.Run(g, p, nil, local.RunConfig{Workers: 1, Metrics: &stockC})
 		if err != nil {
 			return nil, fmt.Errorf("E10 %s: stock engine: %w", e.name, err)
 		}
-		frugalOut, frugalStats, err := local.RunFrugalConfig(g, p, nil, local.RunConfig{Metrics: &frugalC})
+		frugalOut, frugalStats, err := local.RunFrugal(g, p, nil, local.RunConfig{Metrics: &frugalC})
 		if err != nil {
 			return nil, fmt.Errorf("E10 %s: frugal engine: %w", e.name, err)
 		}

@@ -64,7 +64,7 @@ func RunE11() (*Table, error) {
 	t.Notes = append(t.Notes,
 		"decomposition: per-node integer exponential shifts with rate beta (seeded), one multi-source BFS with shifted start times; a node joins the first wave to reach it",
 		"every decomposition passes the full invariant check (exactly one ball per node, BFS depths, radius <= center shift, exact cut recount) before its row is emitted",
-		"the MPX trade-off reads across each family's rows: larger beta cuts more edges (cut.frac ~ O(beta)) but shrinks radii (O(log n / beta)); these shards back the scheduler's locality-aware Partition hook",
+		"the MPX trade-off reads across each family's rows: larger beta cuts more edges (cut.frac ~ O(beta)) but shrinks radii (O(log n / beta)); lll.SolveDecomposed runs this construction on the LLL event graph and resolves the instance ball by ball",
 		"regenerate with: go run ./cmd/locad exp E11")
 	return t, nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -22,24 +23,49 @@ func goldenPath(id string) string {
 	return filepath.Join("testdata", "golden", id+".golden")
 }
 
-// renderExperiment runs one experiment and renders its table exactly as the
-// locad CLI prints it.
+// experimentRuns memoises each experiment's run by ID, so TestGoldenTables
+// and TestAllExperimentsRun share one regeneration of every table per
+// `go test`.
+var experimentRuns sync.Map // ID -> func() (*Table, error)
+
+// runExperiment runs e at most once per test binary and returns its table.
+func runExperiment(e Experiment) (*Table, error) {
+	run, _ := experimentRuns.LoadOrStore(e.ID, sync.OnceValues(e.Run))
+	return run.(func() (*Table, error))()
+}
+
+// renderExperiment runs one experiment (once per test binary), checks the
+// table's shape (at least one row, every row as wide as the header, the
+// experiment ID in the render), and renders it exactly as the locad CLI
+// prints it.
 func renderExperiment(t *testing.T, e Experiment) string {
 	t.Helper()
-	table, err := e.Run()
+	table, err := runExperiment(e)
 	if err != nil {
 		t.Fatalf("%s: %v", e.ID, err)
 	}
+	if len(table.Rows) == 0 {
+		t.Fatalf("%s: empty table", e.ID)
+	}
+	for _, row := range table.Rows {
+		if len(row) != len(table.Header) {
+			t.Errorf("%s: row %v has %d cells for %d columns", e.ID, row, len(row), len(table.Header))
+		}
+	}
 	var sb strings.Builder
 	table.Render(&sb)
+	if !strings.Contains(sb.String(), e.ID) {
+		t.Errorf("%s: render missing experiment id", e.ID)
+	}
 	return sb.String()
 }
 
-// TestGoldenTables pins every experiment's rendered table against its
-// snapshot in testdata/golden/. The experiments are deterministic (seeded
-// RNGs, fixed iteration order), so any diff is a real behavior change: a
-// numeric drift here means the published EXPERIMENTS.md values no longer
-// hold and both the golden file and the doc must be updated deliberately.
+// TestGoldenTables regenerates every experiment once per `go test`, checks
+// its table's shape, and pins its render against the snapshot in
+// testdata/golden/. The experiments are deterministic (seeded RNGs, fixed
+// iteration order), so any diff is a real behavior change: a numeric drift
+// here means the published EXPERIMENTS.md values no longer hold and both
+// the golden file and the doc must be updated deliberately.
 func TestGoldenTables(t *testing.T) {
 	for _, e := range All() {
 		e := e

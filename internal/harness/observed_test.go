@@ -14,7 +14,7 @@ func engineExperiment(id string) Experiment {
 	return Experiment{ID: id, Title: "test", Run: func() (*Table, error) {
 		g := graph.Cycle(32)
 		decide := func(view *local.View) any { return view.G.N() }
-		if _, _, err := local.RunSequential(g, &local.GatherProtocol{Radius: 2, Decide: decide}, nil); err != nil {
+		if _, _, err := local.RunSequential(g, &local.GatherProtocol{Radius: 2, Decide: decide}, nil, local.RunConfig{}); err != nil {
 			return nil, err
 		}
 		t := &Table{ID: id, Title: "test", Header: []string{"col"}}

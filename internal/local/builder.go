@@ -13,10 +13,10 @@ import (
 	"localadvice/internal/obs"
 )
 
-// RunConfig configures an engine run: the worker count shared by the view
-// engine (RunBallConfig) and the message engines (RunMessageConfig and
-// friends), an optional fault-injection plan, and an optional metrics
-// collector.
+// RunConfig configures an engine run: the worker count shared by every
+// engine, an optional fault-injection plan, an optional metrics collector,
+// the frugal engine's skeleton radius and the schema-level DetLLL switch.
+// The zero value is a fault-free, unobserved run at the default fan-out.
 type RunConfig struct {
 	// Workers is the number of goroutines the engine fans out over; see
 	// normalize for the exact resolution contract (the single source of
@@ -39,7 +39,7 @@ type RunConfig struct {
 	// byte-identical to an uninstrumented build.
 	Metrics *obs.Collector
 
-	// FrugalRadius is the skeleton cluster radius ρ used by RunFrugalConfig;
+	// FrugalRadius is the skeleton cluster radius ρ used by RunFrugal;
 	// zero selects the package default (DefaultFrugalRadius) and negative
 	// values are rejected with an error wrapping ErrFrugalRadius. The
 	// other engines ignore it. Larger ρ means fewer, deeper clusters —
@@ -60,83 +60,34 @@ type RunConfig struct {
 	// when choosing the encoder. Derived cache keys for det-mode artifacts
 	// drop the seed component (DESIGN.md decision 12).
 	DetLLL bool
-
-	// Partition, when non-nil, replaces the sharded scheduler's contiguous
-	// node-index shards with custom node lists (e.g. the low-cut ball
-	// shards of decomp.ShardPartition). It is called once per run, after
-	// fault injection, with the graph the engine executes and the resolved
-	// worker count — and only when that count is > 1 (a single worker
-	// sweeps all nodes either way). It must return exactly `workers`
-	// disjoint lists that together cover every node exactly once; anything
-	// else fails the run with an error wrapping ErrBadPartition, and an
-	// error it returns propagates unchanged.
-	//
-	// Sharding only chooses which worker sweeps which node: outputs,
-	// rounds, messages and fault reports are bit-identical to contiguous
-	// sharding for every valid partition (the slabs give every directed
-	// port a single writer regardless of grouping). The ball, goroutine
-	// and sequential engines ignore it.
-	Partition Partition
-}
-
-// Partition computes a custom node→shard grouping for the sharded
-// scheduler: shards[w] lists the nodes worker w sweeps each round. See
-// RunConfig.Partition for the exactness contract.
-type Partition func(g *graph.Graph, workers int) ([][]int32, error)
-
-// resolveShards runs cfg.Partition (when installed and the run is actually
-// parallel) and validates its result against the exactness contract. A nil
-// return means contiguous index sharding.
-func (cfg RunConfig) resolveShards(g *graph.Graph, workers int) ([][]int32, error) {
-	if cfg.Partition == nil || workers <= 1 {
-		return nil, nil
-	}
-	shards, err := cfg.Partition(g, workers)
-	if err != nil {
-		return nil, fmt.Errorf("local: partition: %w", err)
-	}
-	n := g.N()
-	if len(shards) != workers {
-		return nil, fmt.Errorf("%w: got %d shards for %d workers", ErrBadPartition, len(shards), workers)
-	}
-	seen := make([]bool, n)
-	total := 0
-	for w, nodes := range shards {
-		for _, v := range nodes {
-			if v < 0 || int(v) >= n {
-				return nil, fmt.Errorf("%w: shard %d contains out-of-range node %d (n=%d)", ErrBadPartition, w, v, n)
-			}
-			if seen[v] {
-				return nil, fmt.Errorf("%w: node %d assigned to more than one shard", ErrBadPartition, v)
-			}
-			seen[v] = true
-			total++
-		}
-	}
-	if total != n {
-		return nil, fmt.Errorf("%w: shards cover %d of %d nodes", ErrBadPartition, total, n)
-	}
-	return shards, nil
 }
 
 // normalize resolves the configured worker count for an n-node run. This
 // is the single source of truth for the Workers contract, shared by every
-// engine (ball, scheduler, goroutine, sequential) so they cannot drift:
+// engine (ball, scheduler, frugal; the sequential engine is single-threaded
+// by design) so they cannot drift:
 //
 //   - negative clamps to sequential (one worker);
-//   - zero expands to runtime.GOMAXPROCS(0);
+//   - zero takes the process default fixed by SetDefaultWorkers if one is
+//     set, else one worker below parallelThreshold nodes (fan-out costs
+//     more than it saves on tiny graphs), else runtime.GOMAXPROCS(0);
 //   - the result is capped to [1, max(n, 1)], so a worker count above the
 //     node count (e.g. 8 workers on a 4-node graph) clamps to n.
 //
-// TestNormalizeWorkers pins the -1/0/1/8 table from CHANGES.md against
-// this function.
+// TestNormalizeWorkers pins this table.
 func (cfg RunConfig) normalize(n int) int {
 	w := cfg.Workers
 	switch {
 	case w < 0:
 		w = 1
 	case w == 0:
-		w = runtime.GOMAXPROCS(0)
+		w = int(defaultWorkers.Load())
+		if w == 0 && n < parallelThreshold {
+			w = 1
+		}
+		if w == 0 {
+			w = runtime.GOMAXPROCS(0)
+		}
 	}
 	if w > n {
 		w = n
@@ -174,13 +125,15 @@ func (cfg RunConfig) applyFault(g *graph.Graph, advice Advice) (*graph.Graph, Ad
 	return fg, Advice(fadv)
 }
 
-// defaultWorkers holds the process-wide worker count used by RunBall when no
-// explicit RunConfig is supplied; 0 means GOMAXPROCS.
+// defaultWorkers holds the process-wide worker count a zero
+// RunConfig.Workers resolves to; 0 means unset (see normalize).
 var defaultWorkers atomic.Int32
 
-// SetDefaultWorkers fixes the worker count RunBall uses by default; n <= 0
-// restores the GOMAXPROCS default. The locad CLI's -workers flag calls this
-// once at startup so every decoder in the process inherits the setting.
+// SetDefaultWorkers fixes the worker count every engine run with
+// RunConfig.Workers == 0 uses; n <= 0 restores the size-based default (one
+// worker below parallelThreshold nodes, GOMAXPROCS above). The locad CLI's
+// -workers flag calls this once at startup so every decoder in the process
+// inherits the setting.
 func SetDefaultWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -188,16 +141,17 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int32(n))
 }
 
-// parallelThreshold is the node count below which the default engine stays
-// sequential: on tiny graphs goroutine fan-out costs more than it saves.
-// RunBallConfig with an explicit Workers value always honors it.
+// parallelThreshold is the node count below which a zero Workers value
+// (with no process default set) resolves to one worker: on tiny graphs
+// goroutine fan-out costs more than it saves. An explicit Workers value is
+// always honored.
 const parallelThreshold = 256
 
 // validateAdvice rejects a malformed advice assignment: advice, when
 // present, must assign a (possibly empty) string to every node. The original
 // engine silently treated out-of-range nodes as empty-advice, which hid
-// encoder errors; the Try* entry points return this error before the engine
-// starts, and the historical entry points panic with it.
+// encoder errors; every engine entry point returns this error before the
+// engine starts, and BuildView panics with it.
 func validateAdvice(g *graph.Graph, advice Advice) error {
 	if advice != nil && len(advice) != g.N() {
 		return fmt.Errorf("%w: advice has %d entries for a %d-node graph (advice must be nil or cover every node)",
@@ -206,7 +160,8 @@ func validateAdvice(g *graph.Graph, advice Advice) error {
 	return nil
 }
 
-// mustValidateAdvice is validateAdvice for the panicking entry points.
+// mustValidateAdvice is validateAdvice for BuildView, whose signature has
+// no error return.
 func mustValidateAdvice(g *graph.Graph, advice Advice) {
 	if err := validateAdvice(g, advice); err != nil {
 		panic(err)
@@ -286,19 +241,24 @@ func (b *ViewBuilder) BuildView(g *graph.Graph, advice Advice, v, radius int) *V
 	return view
 }
 
-// TryRunBallConfig executes a ball algorithm with the given radius on every
-// node of g using cfg.Workers parallel workers and returns the per-node
-// outputs. The round count is exactly the radius. The algorithm must be a
-// pure function of the view (all production decoders are); outputs are
-// written by node index, so the result is identical for any worker count.
+// RunBall executes a ball algorithm with the given radius on every node of
+// g and returns the per-node outputs. The round count is exactly the
+// radius. The algorithm must be a pure function of the view (all
+// production decoders are); outputs are written by node index, so the
+// result is identical for any worker count (cfg.Workers, resolved by
+// RunConfig.normalize).
 //
-// Malformed advice is reported as an error (wrapping ErrAdviceLength)
-// before the engine starts. When cfg.Fault is active, advice corruption and
-// ID reassignment are applied first, and a node crashed within the decoding
-// radius produces no output — its output slot holds a fault.CrashError. The
-// ball engine has no per-round message flow, so a crash cannot additionally
-// starve the views of other nodes; the message engines model that part.
-func TryRunBallConfig(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg RunConfig) ([]any, Stats, error) {
+// A negative radius (an error wrapping ErrNegativeRadius) and malformed
+// advice (wrapping ErrAdviceLength) are reported before the engine starts.
+// When cfg.Fault is active, advice corruption and ID reassignment are
+// applied first, and a node crashed within the decoding radius produces no
+// output — its output slot holds a fault.CrashError. The ball engine has no
+// per-round message flow, so a crash cannot additionally starve the views
+// of other nodes; the message engines model that part.
+func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg RunConfig) ([]any, Stats, error) {
+	if err := validateRadius(radius); err != nil {
+		return nil, Stats{}, err
+	}
 	if err := validateAdvice(g, advice); err != nil {
 		return nil, Stats{}, err
 	}
@@ -392,16 +352,4 @@ func TryRunBallConfig(g *graph.Graph, advice Advice, radius int, algo BallAlgori
 	wg.Wait()
 	finish()
 	return outputs, Stats{Rounds: radius}, nil
-}
-
-// RunBallConfig is the historical panicking form of TryRunBallConfig: it
-// panics on malformed advice instead of returning an error. Callers running
-// prover-produced advice (which already passed validation) keep this thin
-// wrapper; anything fed from user input should call TryRunBallConfig.
-func RunBallConfig(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg RunConfig) ([]any, Stats) {
-	outputs, stats, err := TryRunBallConfig(g, advice, radius, algo, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return outputs, stats
 }

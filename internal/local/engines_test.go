@@ -34,6 +34,28 @@ func TestRunDeciderUnknownEngine(t *testing.T) {
 	}
 }
 
+// TestNegativeRadiusRejected pins that every engine rejects a negative view
+// radius with the typed error instead of deciding: unchecked, the ball
+// engine read -1 as unbounded (every node saw the whole cycle) while the
+// message engines decided on a one-node view.
+func TestNegativeRadiusRejected(t *testing.T) {
+	g := graph.Cycle(20)
+	for _, engine := range EngineNames() {
+		for _, radius := range []int{-1, -5} {
+			out, _, err := RunDecider(engine, g, nil, radius, sumIDsInView, RunConfig{})
+			if !errors.Is(err, ErrNegativeRadius) || out != nil {
+				t.Errorf("%s radius %d: out=%v err=%v, want ErrNegativeRadius", engine, radius, out, err)
+			}
+		}
+	}
+	if _, _, err := RunBall(g, nil, -1, sumIDsInView, RunConfig{}); !errors.Is(err, ErrNegativeRadius) {
+		t.Errorf("RunBall radius -1: err = %v, want ErrNegativeRadius", err)
+	}
+	if _, stats, err := RunDecider("ball", g, nil, 0, sumIDsInView, RunConfig{}); err != nil || stats.Rounds != 0 {
+		t.Errorf("radius 0: stats=%+v err=%v, want a zero-round run", stats, err)
+	}
+}
+
 // TestRunDeciderEngineEquivalence sweeps EngineNames × worker counts on a
 // permuted grid with non-trivial advice: every engine must produce
 // bit-identical outputs for a pure view-decide function.

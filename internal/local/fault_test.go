@@ -12,23 +12,19 @@ import (
 )
 
 // TestNormalizeWorkers pins the shared worker-count resolution: negative is
-// sequential, zero is GOMAXPROCS, and the result never exceeds the node
-// count. Both the message engines and the ball engine resolve through this
-// one function, so this table is the whole contract.
+// sequential; zero is the SetDefaultWorkers value if one is set, else one
+// worker below parallelThreshold nodes and GOMAXPROCS above; and the result
+// never exceeds the node count. Every engine resolves through this one
+// function, so this table is the whole contract.
 func TestNormalizeWorkers(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
-	min := func(a, b int) int {
-		if a < b {
-			return a
-		}
-		return b
-	}
 	cases := []struct {
 		workers, n, want int
 	}{
 		{-1, 100, 1},
 		{-7, 100, 1},
-		{0, 100, min(maxprocs, 100)},
+		{0, 100, 1},
+		{0, 1000, min(maxprocs, 1000)},
 		{1, 100, 1},
 		{8, 100, 8},
 		{8, 4, 4},
@@ -42,125 +38,98 @@ func TestNormalizeWorkers(t *testing.T) {
 			t.Errorf("normalize(workers=%d, n=%d) = %d, want %d", c.workers, c.n, got, c.want)
 		}
 	}
+
+	// A process default replaces the size-based rule for Workers == 0 only.
+	SetDefaultWorkers(3)
+	defer SetDefaultWorkers(0)
+	for _, c := range []struct{ workers, n, want int }{
+		{0, 100, 3},
+		{0, 1000, 3},
+		{0, 2, 2},
+		{5, 100, 5},
+		{-1, 100, 1},
+	} {
+		if got := (RunConfig{Workers: c.workers}).normalize(c.n); got != c.want {
+			t.Errorf("SetDefaultWorkers(3): normalize(workers=%d, n=%d) = %d, want %d", c.workers, c.n, got, c.want)
+		}
+	}
 }
 
 // gatherDecide is the engine-equivalence workload: a pure function of the
 // radius-T view.
 func gatherDecide(view *View) any { return view.G.N()*1_000_000 + view.G.M() }
 
-// TestCrashAgreementAcrossEngines runs the same crash plan through the three
-// message engines and checks they agree exactly: same outputs (including the
-// typed crash error in the crashed node's slot), same rounds, same message
-// count.
+// TestCrashAgreementAcrossEngines runs the same crash plan through every
+// engine at workers -1/1/8 and checks they agree: every engine leaves the
+// typed crash error in the crashed node's slot; the message engines agree on
+// every other output too, and the scheduler and the sequential oracle on
+// rounds and message count. The ball engine has no per-round message flow,
+// so a crash cannot starve its other views and only the typed error is
+// comparable across the engine split.
 func TestCrashAgreementAcrossEngines(t *testing.T) {
 	g := graph.Cycle(30)
-	cfg := RunConfig{Fault: &fault.Plan{CrashNode: 5, CrashRound: 2}}
-	protocol := func() *GatherProtocol { return &GatherProtocol{Radius: 3, Decide: gatherDecide} }
-
-	type result struct {
-		name    string
-		outputs []any
-		stats   Stats
-	}
-	var results []result
-	for _, engine := range []struct {
-		name string
-		run  func() ([]any, Stats, error)
-	}{
-		{"message", func() ([]any, Stats, error) { return RunMessageConfig(g, protocol(), nil, cfg) }},
-		{"goroutine", func() ([]any, Stats, error) { return RunGoroutineConfig(g, protocol(), nil, cfg) }},
-		{"sequential", func() ([]any, Stats, error) { return RunSequentialConfig(g, protocol(), nil, cfg) }},
-	} {
-		outputs, stats, err := engine.run()
-		if err != nil {
-			t.Fatalf("%s: %v", engine.name, err)
-		}
-		results = append(results, result{engine.name, outputs, stats})
-	}
-	ref := results[0]
-	crashErr, ok := ref.outputs[5].(fault.CrashError)
-	if !ok || !errors.Is(crashErr, fault.ErrCrashed) {
-		t.Fatalf("crashed node output = %#v, want a fault.CrashError wrapping ErrCrashed", ref.outputs[5])
-	}
-	if crashErr.Node != 5 || crashErr.Round != 2 {
-		t.Fatalf("crash error = %+v, want node 5 round 2", crashErr)
-	}
-	for _, r := range results[1:] {
-		if r.stats != ref.stats {
-			t.Errorf("%s stats %+v != %s stats %+v", r.name, r.stats, ref.name, ref.stats)
-		}
-		for v := range ref.outputs {
-			if fmt.Sprint(r.outputs[v]) != fmt.Sprint(ref.outputs[v]) {
-				t.Fatalf("%s and %s disagree at node %d: %v vs %v",
-					r.name, ref.name, v, r.outputs[v], ref.outputs[v])
+	plan := &fault.Plan{CrashNode: 5, CrashRound: 2}
+	want := fault.CrashError{Node: 5, Round: 2}
+	var refOut []any
+	var refStats Stats
+	for _, engine := range EngineNames() {
+		for _, workers := range []int{-1, 1, 8} {
+			name := fmt.Sprintf("%s workers=%d", engine, workers)
+			out, stats, err := RunDecider(engine, g, nil, 3, gatherDecide, RunConfig{Workers: workers, Fault: plan})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if ce, ok := out[5].(fault.CrashError); !ok || ce != want || !errors.Is(ce, fault.ErrCrashed) {
+				t.Fatalf("%s: crashed node output = %#v, want %+v wrapping ErrCrashed", name, out[5], want)
+			}
+			if engine == "ball" {
+				continue
+			}
+			if refOut == nil {
+				refOut, refStats = out, stats
+				continue
+			}
+			// The frugal engine's Stats count skeleton transport and
+			// forwarding overhead, so only its outputs are comparable.
+			if engine != "frugal" && stats != refStats {
+				t.Errorf("%s stats %+v, scheduler %+v", name, stats, refStats)
+			}
+			for v := range refOut {
+				if fmt.Sprint(out[v]) != fmt.Sprint(refOut[v]) {
+					t.Fatalf("%s disagrees with the scheduler at node %d: %v vs %v", name, v, out[v], refOut[v])
+				}
 			}
 		}
-	}
-
-	// The frugal engine runs the same sweep, so its outputs — including the
-	// typed crash error — must match exactly; only its Stats (skeleton
-	// transport, forwarding overhead) legitimately differ.
-	frugalOut, _, err := RunFrugalConfig(g, protocol(), nil, cfg)
-	if err != nil {
-		t.Fatalf("frugal: %v", err)
-	}
-	fe, ok := frugalOut[5].(fault.CrashError)
-	if !ok || fe != crashErr {
-		t.Fatalf("frugal crashed node output = %#v, want %+v", frugalOut[5], crashErr)
-	}
-	for v := range ref.outputs {
-		if fmt.Sprint(frugalOut[v]) != fmt.Sprint(ref.outputs[v]) {
-			t.Fatalf("frugal and %s disagree at node %d: %v vs %v",
-				ref.name, v, frugalOut[v], ref.outputs[v])
-		}
-	}
-
-	// The ball engine models crashes without per-round message flow, so only
-	// the typed error is comparable across the engine split.
-	ballOut, _, err := TryRunBallConfig(g, nil, 3, gatherDecide, cfg)
-	if err != nil {
-		t.Fatalf("ball: %v", err)
-	}
-	be, ok := ballOut[5].(fault.CrashError)
-	if !ok || be != crashErr {
-		t.Fatalf("ball crashed node output = %#v, want %+v", ballOut[5], crashErr)
 	}
 }
 
 // TestAdviceFlipAgreementAcrossEngines runs the same seeded advice-flip plan
-// through all five engines on a view-fingerprint workload and checks every
-// node's output is identical — corrupted advice must corrupt every engine
-// the same way.
+// through every engine at workers -1/1/8 on a view-fingerprint workload and
+// checks every node's output is identical — corrupted advice must corrupt
+// every engine the same way.
 func TestAdviceFlipAgreementAcrossEngines(t *testing.T) {
 	g := graph.Cycle(24)
 	advice := make(Advice, g.N())
 	for v := range advice {
 		advice[v] = bitstr.New(1, v%2, 1)
 	}
-	cfg := RunConfig{Fault: &fault.Plan{Seed: 11, FlipRate: 0.4}}
-	const radius = 2
-	protocol := func() *GatherProtocol { return &GatherProtocol{Radius: radius, Decide: viewFingerprint} }
-
-	refOut, _, err := RunMessageConfig(g, protocol(), advice, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, run := range map[string]func() ([]any, Stats, error){
-		"goroutine":  func() ([]any, Stats, error) { return RunGoroutineConfig(g, protocol(), advice, cfg) },
-		"sequential": func() ([]any, Stats, error) { return RunSequentialConfig(g, protocol(), advice, cfg) },
-		"frugal":     func() ([]any, Stats, error) { return RunFrugalConfig(g, protocol(), advice, cfg) },
-		"ball": func() ([]any, Stats, error) {
-			return TryRunBallConfig(g, advice, radius, viewFingerprint, cfg)
-		},
-	} {
-		out, _, err := run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for v := range refOut {
-			if out[v] != refOut[v] {
-				t.Fatalf("%s disagrees with the scheduler at node %d under flipped advice:\n%v\nvs\n%v",
-					name, v, out[v], refOut[v])
+	plan := &fault.Plan{Seed: 11, FlipRate: 0.4}
+	var refOut []any
+	for _, engine := range EngineNames() {
+		for _, workers := range []int{-1, 1, 8} {
+			out, _, err := RunDecider(engine, g, advice, 2, viewFingerprint, RunConfig{Workers: workers, Fault: plan})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", engine, workers, err)
+			}
+			if refOut == nil {
+				refOut = out
+				continue
+			}
+			for v := range refOut {
+				if out[v] != refOut[v] {
+					t.Fatalf("%s workers=%d disagrees with the ball engine at node %d under flipped advice:\n%v\nvs\n%v",
+						engine, workers, v, out[v], refOut[v])
+				}
 			}
 		}
 	}
@@ -173,7 +142,7 @@ func TestBallEngineCrash(t *testing.T) {
 	g := graph.Cycle(20)
 	algo := func(view *View) any { return view.G.N() }
 
-	outputs, _, err := TryRunBallConfig(g, nil, 2, algo, RunConfig{
+	outputs, _, err := RunBall(g, nil, 2, algo, RunConfig{
 		Fault: &fault.Plan{CrashNode: 3, CrashRound: 2},
 	})
 	if err != nil {
@@ -190,7 +159,7 @@ func TestBallEngineCrash(t *testing.T) {
 		}
 	}
 
-	outputs, _, err = TryRunBallConfig(g, nil, 2, algo, RunConfig{
+	outputs, _, err = RunBall(g, nil, 2, algo, RunConfig{
 		Fault: &fault.Plan{CrashNode: 3, CrashRound: 5},
 	})
 	if err != nil {
@@ -276,26 +245,35 @@ func TestInactivePlanReturnsInputs(t *testing.T) {
 func TestTryVariantsRejectShortAdvice(t *testing.T) {
 	g := graph.Cycle(10)
 	short := make(Advice, 4)
-	algo := func(view *View) any { return 0 }
-
-	if _, _, err := TryRunBallConfig(g, short, 1, algo, RunConfig{}); !errors.Is(err, ErrAdviceLength) {
-		t.Errorf("TryRunBallConfig: err = %v, want ErrAdviceLength", err)
-	}
-	if _, _, err := TryRunBall(g, short, 1, algo); !errors.Is(err, ErrAdviceLength) {
-		t.Errorf("TryRunBall: err = %v, want ErrAdviceLength", err)
-	}
 	protocol := &GatherProtocol{Radius: 1, Decide: gatherDecide}
-	if _, _, err := RunMessageConfig(g, protocol, short, RunConfig{}); !errors.Is(err, ErrAdviceLength) {
-		t.Errorf("RunMessageConfig: err = %v, want ErrAdviceLength", err)
+	runs := map[string]func() error{
+		"RunBall": func() error {
+			_, _, err := RunBall(g, short, 1, gatherDecide, RunConfig{})
+			return err
+		},
+		"Run": func() error {
+			_, _, err := Run(g, protocol, short, RunConfig{})
+			return err
+		},
+		"RunSequential": func() error {
+			_, _, err := RunSequential(g, protocol, short, RunConfig{})
+			return err
+		},
+		"RunFrugal": func() error {
+			_, _, err := RunFrugal(g, protocol, short, RunConfig{})
+			return err
+		},
 	}
-	if _, _, err := RunGoroutine(g, protocol, short); !errors.Is(err, ErrAdviceLength) {
-		t.Errorf("RunGoroutine: err = %v, want ErrAdviceLength", err)
+	for _, engine := range EngineNames() {
+		runs["RunDecider/"+engine] = func() error {
+			_, _, err := RunDecider(engine, g, short, 1, gatherDecide, RunConfig{})
+			return err
+		}
 	}
-	if _, _, err := RunSequential(g, protocol, short); !errors.Is(err, ErrAdviceLength) {
-		t.Errorf("RunSequential: err = %v, want ErrAdviceLength", err)
-	}
-	if _, _, err := RunFrugal(g, protocol, short); !errors.Is(err, ErrAdviceLength) {
-		t.Errorf("RunFrugal: err = %v, want ErrAdviceLength", err)
+	for name, run := range runs {
+		if err := run(); !errors.Is(err, ErrAdviceLength) {
+			t.Errorf("%s: err = %v, want ErrAdviceLength", name, err)
+		}
 	}
 }
 
@@ -307,12 +285,12 @@ func TestCrashAcrossWorkerCounts(t *testing.T) {
 	cfg := func(w int) RunConfig {
 		return RunConfig{Workers: w, Fault: &fault.Plan{CrashNode: 10, CrashRound: 1}}
 	}
-	refOut, refStats, err := RunMessageConfig(g, &GatherProtocol{Radius: 3, Decide: gatherDecide}, nil, cfg(-1))
+	refOut, refStats, err := Run(g, &GatherProtocol{Radius: 3, Decide: gatherDecide}, nil, cfg(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 1, 2, 8} {
-		out, stats, err := RunMessageConfig(g, &GatherProtocol{Radius: 3, Decide: gatherDecide}, nil, cfg(w))
+		out, stats, err := Run(g, &GatherProtocol{Radius: 3, Decide: gatherDecide}, nil, cfg(w))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -8,8 +8,8 @@ import (
 	"localadvice/internal/obs"
 )
 
-// This file implements the bandwidth-frugal engine: the fifth engine, and
-// the first one that optimizes *messages* rather than rounds or wall time.
+// This file implements the bandwidth-frugal engine: the one engine that
+// optimizes *messages* rather than rounds or wall time.
 //
 // Following Bitton–Emek–Izumi–Kutten ("Message Reduction in the LOCAL Model
 // is a Free Lunch"), any LOCAL protocol can be simulated on a sparse
@@ -22,7 +22,7 @@ import (
 //
 // The engine runs the EXACT stock sharded scheduler (runSchedulerCore) so
 // that outputs, fault semantics and termination are bit-identical to the
-// other four engines at every worker count, and accounts the skeleton
+// other engines at every worker count, and accounts the skeleton
 // transport in a post-sweep hook:
 //
 //   - Change suppression ("silence means unchanged"): a directed edge only
@@ -47,27 +47,21 @@ import (
 const DefaultFrugalRadius = 2
 
 // RunFrugal executes protocol on g with the given advice using the
-// bandwidth-frugal engine and the default skeleton radius. Outputs are
-// bit-identical to Run / RunGoroutine / RunSequential; Stats.Messages is
-// the skeleton transport total (typically far below the stock engines'),
-// and Stats.Rounds includes the 2ρ+1 pipelined forwarding overhead.
-func RunFrugal(g *graph.Graph, protocol Protocol, advice Advice) ([]any, Stats, error) {
-	return RunFrugalConfig(g, protocol, advice, RunConfig{})
-}
-
-// RunFrugalConfig is RunFrugal with an explicit RunConfig: worker count,
-// fault plan, metrics collector, and skeleton radius (FrugalRadius; zero
-// selects DefaultFrugalRadius, negative values are an error wrapping
-// ErrFrugalRadius — they used to fall through to the default silently,
-// hiding caller bugs). Fault plans behave exactly as in RunMessageConfig —
-// the same sweep executes, so crash rounds, advice flips and ID
-// reassignment produce identical outputs and typed errors.
+// bandwidth-frugal engine. Outputs are bit-identical to Run and
+// RunSequential; Stats.Messages is the skeleton transport total (typically
+// far below the stock engines'), and Stats.Rounds includes the 2ρ+1
+// pipelined forwarding overhead. cfg carries the worker count, fault plan,
+// metrics collector, and skeleton radius (FrugalRadius; zero selects
+// DefaultFrugalRadius, negative values are an error wrapping
+// ErrFrugalRadius). Fault plans behave exactly as in Run — the same sweep
+// executes, so crash rounds, advice flips and ID reassignment produce
+// identical outputs and typed errors.
 //
 // When a metrics collector is installed, each RoundMetric reports the
 // skeleton transport in Messages/Bytes and the simulated protocol's own
 // traffic in LogicalMessages/LogicalBytes; the ratio of the two is the
 // engine's measured message reduction.
-func RunFrugalConfig(g *graph.Graph, protocol Protocol, advice Advice, cfg RunConfig) ([]any, Stats, error) {
+func RunFrugal(g *graph.Graph, protocol Protocol, advice Advice, cfg RunConfig) ([]any, Stats, error) {
 	rho := cfg.FrugalRadius
 	if rho < 0 {
 		return nil, Stats{}, fmt.Errorf("%w: FrugalRadius %d is negative (0 selects the default ρ=%d)",

@@ -1,6 +1,8 @@
 package local
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"localadvice/internal/graph"
@@ -37,11 +39,11 @@ func TestFrugalFloodReduction(t *testing.T) {
 	p := floodSetup(t, g)
 
 	var stock, frugal obs.Collector
-	stockOut, stockStats, err := RunMessageConfig(g, p, nil, RunConfig{Workers: 1, Metrics: &stock})
+	stockOut, stockStats, err := Run(g, p, nil, RunConfig{Workers: 1, Metrics: &stock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frugalOut, frugalStats, err := RunFrugalConfig(g, p, nil, RunConfig{Metrics: &frugal})
+	frugalOut, frugalStats, err := RunFrugal(g, p, nil, RunConfig{Metrics: &frugal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +100,12 @@ func TestFrugalFloodReduction(t *testing.T) {
 func TestFrugalRadiusTradeoff(t *testing.T) {
 	g := graph.Grid2D(12, 12)
 	p := floodSetup(t, g)
-	refOut, refStats, err := RunMessageConfig(g, p, nil, RunConfig{Workers: 1})
+	refOut, refStats, err := Run(g, p, nil, RunConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rho := range []int{1, 2, 4} {
-		out, stats, err := RunFrugalConfig(g, p, nil, RunConfig{FrugalRadius: rho})
+		out, stats, err := RunFrugal(g, p, nil, RunConfig{FrugalRadius: rho})
 		if err != nil {
 			t.Fatalf("ρ=%d: %v", rho, err)
 		}
@@ -118,10 +120,50 @@ func TestFrugalRadiusTradeoff(t *testing.T) {
 	}
 }
 
+// TestFrugalRadiusValidation is the engine-boundary table of the skeleton
+// radius: a negative ρ is a typed error, zero selects the documented default, and
+// explicit positive radii shift the round overhead by exactly 2ρ+1.
+func TestFrugalRadiusValidation(t *testing.T) {
+	g := graph.Cycle(16)
+	protocol := func() Protocol { return &GatherProtocol{Radius: 2, Decide: viewFingerprint} }
+	_, refStats, err := RunSequential(g, protocol(), nil, RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		rho        int
+		wantErr    bool
+		wantRounds int
+	}{
+		{rho: -1, wantErr: true},
+		{rho: 0, wantRounds: refStats.Rounds + 2*DefaultFrugalRadius + 1},
+		{rho: 1, wantRounds: refStats.Rounds + 3},
+		{rho: 4, wantRounds: refStats.Rounds + 9},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("rho=%d", tc.rho), func(t *testing.T) {
+			_, stats, err := RunFrugal(g, protocol(), nil, RunConfig{FrugalRadius: tc.rho})
+			if tc.wantErr {
+				if !errors.Is(err, ErrFrugalRadius) {
+					t.Fatalf("err = %v, want ErrFrugalRadius", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Rounds != tc.wantRounds {
+				t.Fatalf("rounds = %d, want %d (protocol rounds %d + 2ρ+1)",
+					stats.Rounds, tc.wantRounds, refStats.Rounds)
+			}
+		})
+	}
+}
+
 // TestFrugalEmptyGraph pins the degenerate case: no nodes, no rounds, no
 // overhead (the 2ρ+1 pipeline never starts).
 func TestFrugalEmptyGraph(t *testing.T) {
-	out, stats, err := RunFrugal(graph.New(0), &FloodProtocol{SourceID: 1, Rounds: 3}, nil)
+	out, stats, err := RunFrugal(graph.New(0), &FloodProtocol{SourceID: 1, Rounds: 3}, nil, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,18 +4,18 @@
 // unbounded local computation. The runtime of an algorithm is the number of
 // rounds until every node has produced its output.
 //
-// Two execution models are provided, with multiple engines each.
+// Two execution models are provided, with one error-returning entry point
+// per engine, each taking a RunConfig (worker count, fault plan, metrics).
 //
-// The message engine (Run) executes per-round state machines. Its default
-// implementation is a sharded synchronous-round scheduler: double-buffered
-// per-port inbox slabs indexed by a CSR port table, swept shard-by-shard by
-// a worker pool each round (see scheduler.go). LOCAL-model cost is rounds,
-// not messages, so replacing physical message passing with shared-memory
-// delivery is free — the scheduler is bit-identical in outputs, rounds, and
-// message counts to the operational engines. Those remain available:
-// RunGoroutine (one goroutine per node, per-edge channels, a round barrier)
-// and RunSequential (a single-threaded deterministic round loop), and the
-// equivalence property tests pin all three against each other.
+// The message engines execute per-round state machines. Run is a sharded
+// synchronous-round scheduler: double-buffered per-port inbox slabs indexed
+// by a CSR port table, swept shard-by-shard by a worker pool each round
+// (see scheduler.go). LOCAL-model cost is rounds, not messages, so
+// replacing physical message passing with shared-memory delivery is free.
+// RunSequential is an independently written single-threaded round loop —
+// the oracle the equivalence property tests pin the scheduler against —
+// and RunFrugal runs the scheduler's sweep while accounting the traffic of
+// a sparse spanner skeleton (see frugal.go).
 //
 // The ball engine (RunBall) exploits the standard equivalence "a T-round
 // LOCAL algorithm is a function of the radius-T view": it hands every node
@@ -23,8 +23,9 @@
 // round count. All advice-schema decoders in this codebase are written
 // against views.
 //
-// All engines account rounds identically, and the engine-equivalence tests
-// in this package check they agree on reference protocols.
+// RunDecider dispatches a view-decide function to any of the four engines
+// by name (EngineNames), and the engine-equivalence tests in this package
+// check that all four produce identical outputs on reference protocols.
 package local
 
 import (

@@ -47,7 +47,7 @@ func (m *maxIDMachine) Output() any { return m.best }
 
 func TestMessageEngineMaxID(t *testing.T) {
 	g := graph.Path(7)
-	outputs, stats, err := Run(g, &maxIDProtocol{radius: 2}, nil)
+	outputs, stats, err := Run(g, &maxIDProtocol{radius: 2}, nil, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestMessageEngineMaxID(t *testing.T) {
 
 func TestMessageEngineIsolatedNodes(t *testing.T) {
 	g := graph.New(3) // no edges
-	outputs, _, err := Run(g, &maxIDProtocol{radius: 2}, nil)
+	outputs, _, err := Run(g, &maxIDProtocol{radius: 2}, nil, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestBuildViewCarriesAdvice(t *testing.T) {
 
 func TestRunBallRoundsEqualsRadius(t *testing.T) {
 	g := graph.Grid2D(4, 4)
-	_, stats := RunBall(g, nil, 3, func(view *View) any { return view.G.N() })
+	_, stats := mustRunBall(t, g, nil, 3, func(view *View) any { return view.G.N() }, RunConfig{})
 	if stats.Rounds != 3 {
 		t.Errorf("rounds = %d, want 3", stats.Rounds)
 	}
@@ -215,8 +215,8 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 				return fp
 			}
-			ballOut, _ := RunBall(g, adv, radius, summarize)
-			msgOut, _, err := Run(g, &GatherProtocol{Radius: radius, Decide: summarize}, adv)
+			ballOut, _ := mustRunBall(t, g, adv, radius, summarize, RunConfig{})
+			msgOut, _, err := Run(g, &GatherProtocol{Radius: radius, Decide: summarize}, adv, RunConfig{})
 			if err != nil {
 				t.Fatalf("%s radius %d: %v", name, radius, err)
 			}
@@ -284,7 +284,7 @@ func (m *earlyStopMachine) Output() any { return m.stopAt }
 
 func TestStaggeredTermination(t *testing.T) {
 	g := graph.Cycle(9)
-	outputs, stats, err := Run(g, earlyStopProtocol{}, nil)
+	outputs, stats, err := Run(g, earlyStopProtocol{}, nil, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,50 +295,5 @@ func TestStaggeredTermination(t *testing.T) {
 	}
 	if stats.Rounds != 4 {
 		t.Errorf("rounds = %d, want 4", stats.Rounds)
-	}
-}
-
-func TestSequentialEngineMatchesGoroutineEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	graphs := map[string]*graph.Graph{
-		"cycle11":  graph.Cycle(11),
-		"grid4x5":  graph.Grid2D(4, 5),
-		"star6":    graph.Star(6),
-		"isolated": graph.New(4),
-		"gnp":      graph.RandomGNP(15, 0.25, rng),
-	}
-	protocols := map[string]Protocol{
-		"maxID2":  &maxIDProtocol{radius: 2},
-		"maxID5":  &maxIDProtocol{radius: 5},
-		"stagger": earlyStopProtocol{},
-		"gather": &GatherProtocol{Radius: 2, Decide: func(view *View) any {
-			return view.G.N()*1000 + view.G.M()
-		}},
-	}
-	for gname, g := range graphs {
-		graph.AssignPermutedIDs(g, rng)
-		adv := make(Advice, g.N())
-		for v := range adv {
-			adv[v] = bitstr.New(rng.Intn(2))
-		}
-		for pname, p := range protocols {
-			concOut, concStats, err := RunGoroutine(g, p, adv)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", gname, pname, err)
-			}
-			seqOut, seqStats, err := RunSequential(g, p, adv)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", gname, pname, err)
-			}
-			for v := range concOut {
-				if concOut[v] != seqOut[v] {
-					t.Fatalf("%s/%s node %d: goroutine %v, sequential %v",
-						gname, pname, v, concOut[v], seqOut[v])
-				}
-			}
-			if concStats != seqStats {
-				t.Errorf("%s/%s: stats differ: %+v vs %+v", gname, pname, concStats, seqStats)
-			}
-		}
 	}
 }

@@ -23,138 +23,88 @@ func deterministicRounds(c *obs.Collector) []obs.RoundMetric {
 }
 
 // TestMetricsWorkerCountDeterminism is the acceptance gate for the metrics
-// layer: the scheduler's per-round counters (round, active nodes, messages,
-// bytes) must agree bit-for-bit across workers ∈ {-1, 1, 8}, and the ball
-// engine's single round record likewise.
+// layer: on every engine, the per-round counters (round, active nodes,
+// messages, bytes) and the outputs must agree bit-for-bit across
+// workers ∈ {-1, 1, 8}.
 func TestMetricsWorkerCountDeterminism(t *testing.T) {
 	g := graph.Grid2D(12, 12)
-	var want []obs.RoundMetric
-	var wantOut string
-	for _, workers := range []int{-1, 1, 8} {
-		c := &obs.Collector{}
-		outputs, _, err := RunMessageConfig(g, &GatherProtocol{Radius: 2, Decide: gatherDecide}, nil,
-			RunConfig{Workers: workers, Metrics: c})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := deterministicRounds(c)
-		if len(got) == 0 {
-			t.Fatalf("workers=%d recorded no rounds", workers)
-		}
-		out := fmt.Sprintf("%v", outputs)
-		if want == nil {
-			want, wantOut = got, out
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: per-round metrics differ\n got: %+v\nwant: %+v", workers, got, want)
-		}
-		if out != wantOut {
-			t.Errorf("workers=%d: outputs differ", workers)
-		}
-	}
-
-	var wantBall []obs.RoundMetric
-	for _, workers := range []int{-1, 1, 8} {
-		c := &obs.Collector{}
-		if _, _, err := TryRunBallConfig(g, nil, 2, gatherDecide, RunConfig{Workers: workers, Metrics: c}); err != nil {
-			t.Fatalf("ball workers=%d: %v", workers, err)
-		}
-		got := deterministicRounds(c)
-		if wantBall == nil {
-			wantBall = got
-			continue
-		}
-		if !reflect.DeepEqual(got, wantBall) {
-			t.Errorf("ball workers=%d: metrics differ\n got: %+v\nwant: %+v", workers, got, wantBall)
+	for _, engine := range EngineNames() {
+		var want []obs.RoundMetric
+		var wantOut string
+		for _, workers := range []int{-1, 1, 8} {
+			c := &obs.Collector{}
+			outputs, _, err := RunDecider(engine, g, nil, 2, gatherDecide, RunConfig{Workers: workers, Metrics: c})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", engine, workers, err)
+			}
+			got := deterministicRounds(c)
+			if len(got) == 0 {
+				t.Fatalf("%s workers=%d recorded no rounds", engine, workers)
+			}
+			out := fmt.Sprintf("%v", outputs)
+			if want == nil {
+				want, wantOut = got, out
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s workers=%d: per-round metrics differ\n got: %+v\nwant: %+v", engine, workers, got, want)
+			}
+			if out != wantOut {
+				t.Errorf("%s workers=%d: outputs differ", engine, workers)
+			}
 		}
 	}
 }
 
 // TestMetricsEngineAgreement pins that the deterministic counters agree
-// across the three message engines (modulo the Engine label): same rounds,
-// same active-node profile, same per-round message and byte counts.
+// between the scheduler and the sequential oracle (modulo the Engine
+// label): same rounds, same active-node profile, same per-round message and
+// byte counts.
 func TestMetricsEngineAgreement(t *testing.T) {
 	g := graph.Torus2D(6, 6)
-	protocol := func() *GatherProtocol { return &GatherProtocol{Radius: 2, Decide: gatherDecide} }
-	type runFn func(c *obs.Collector) error
-	runs := map[string]runFn{
-		"scheduler": func(c *obs.Collector) error {
-			_, _, err := RunMessageConfig(g, protocol(), nil, RunConfig{Workers: 2, Metrics: c})
-			return err
-		},
-		"sequential": func(c *obs.Collector) error {
-			_, _, err := RunSequentialConfig(g, protocol(), nil, RunConfig{Metrics: c})
-			return err
-		},
-		"goroutine": func(c *obs.Collector) error {
-			_, _, err := RunGoroutineConfig(g, protocol(), nil, RunConfig{Metrics: c})
-			return err
-		},
-	}
 	var want []obs.RoundMetric
-	var wantFrom string
-	for name, run := range runs {
+	for _, engine := range []string{"scheduler", "sequential"} {
 		c := &obs.Collector{}
-		if err := run(c); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if _, _, err := RunDecider(engine, g, nil, 2, gatherDecide, RunConfig{Workers: 2, Metrics: c}); err != nil {
+			t.Fatalf("%s: %v", engine, err)
 		}
 		got := deterministicRounds(c)
 		for i := range got {
 			got[i].Engine = "" // engines differ only in the label
 		}
 		if want == nil {
-			want, wantFrom = got, name
+			want = got
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s metrics differ from %s\n got: %+v\nwant: %+v", name, wantFrom, got, want)
+			t.Errorf("%s metrics differ from the scheduler's\n got: %+v\nwant: %+v", engine, got, want)
 		}
 	}
 }
 
 // TestMetricsDisabledIdenticalOutputs is the other acceptance half: with
-// Metrics nil all four engines produce byte-identical outputs and stats to
-// a metrics-enabled run (the instrumentation observes, never perturbs).
+// Metrics nil every engine produces byte-identical outputs and stats to a
+// metrics-enabled run (the instrumentation observes, never perturbs).
 func TestMetricsDisabledIdenticalOutputs(t *testing.T) {
 	g := graph.Cycle(48)
-	protocol := func() *GatherProtocol { return &GatherProtocol{Radius: 3, Decide: gatherDecide} }
-	type engine struct {
-		name string
-		run  func(cfg RunConfig) ([]any, Stats, error)
-	}
-	engines := []engine{
-		{"scheduler", func(cfg RunConfig) ([]any, Stats, error) {
-			return RunMessageConfig(g, protocol(), nil, cfg)
-		}},
-		{"sequential", func(cfg RunConfig) ([]any, Stats, error) {
-			return RunSequentialConfig(g, protocol(), nil, cfg)
-		}},
-		{"goroutine", func(cfg RunConfig) ([]any, Stats, error) {
-			return RunGoroutineConfig(g, protocol(), nil, cfg)
-		}},
-		{"ball", func(cfg RunConfig) ([]any, Stats, error) {
-			return TryRunBallConfig(g, nil, 3, gatherDecide, cfg)
-		}},
-	}
-	for _, e := range engines {
-		off, offStats, err := e.run(RunConfig{Workers: 2})
+	for _, engine := range EngineNames() {
+		off, offStats, err := RunDecider(engine, g, nil, 3, gatherDecide, RunConfig{Workers: 2})
 		if err != nil {
-			t.Fatalf("%s disabled: %v", e.name, err)
+			t.Fatalf("%s disabled: %v", engine, err)
 		}
 		c := &obs.Collector{}
-		on, onStats, err := e.run(RunConfig{Workers: 2, Metrics: c})
+		on, onStats, err := RunDecider(engine, g, nil, 3, gatherDecide, RunConfig{Workers: 2, Metrics: c})
 		if err != nil {
-			t.Fatalf("%s enabled: %v", e.name, err)
+			t.Fatalf("%s enabled: %v", engine, err)
 		}
 		if fmt.Sprintf("%v", off) != fmt.Sprintf("%v", on) {
-			t.Errorf("%s: outputs differ between metrics on/off", e.name)
+			t.Errorf("%s: outputs differ between metrics on/off", engine)
 		}
-		if off2 := fmt.Sprintf("%v/%v", offStats, onStats); offStats != onStats {
-			t.Errorf("%s: stats differ between metrics on/off: %s", e.name, off2)
+		if offStats != onStats {
+			t.Errorf("%s: stats differ between metrics on/off: %+v vs %+v", engine, offStats, onStats)
 		}
 		if len(c.Rounds()) == 0 {
-			t.Errorf("%s: enabled run recorded nothing", e.name)
+			t.Errorf("%s: enabled run recorded nothing", engine)
 		}
 	}
 }
@@ -171,7 +121,7 @@ func TestMetricsDisabledZeroAdditionalAllocations(t *testing.T) {
 	obs.SetDefault(nil)
 	g := graph.Cycle(32)
 	run := func(cfg RunConfig) {
-		if _, _, err := RunSequentialConfig(g, &GatherProtocol{Radius: 2, Decide: gatherDecide}, nil, cfg); err != nil {
+		if _, _, err := RunSequential(g, &GatherProtocol{Radius: 2, Decide: gatherDecide}, nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,12 +132,12 @@ func TestMetricsDisabledZeroAdditionalAllocations(t *testing.T) {
 	}
 	// The ball engine's disabled path likewise.
 	ballBase := testing.AllocsPerRun(10, func() {
-		if _, _, err := TryRunBallConfig(g, nil, 2, gatherDecide, RunConfig{Workers: -1}); err != nil {
+		if _, _, err := RunBall(g, nil, 2, gatherDecide, RunConfig{Workers: -1}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	ballNil := testing.AllocsPerRun(10, func() {
-		if _, _, err := TryRunBallConfig(g, nil, 2, gatherDecide, RunConfig{Workers: -1, Metrics: nil}); err != nil {
+		if _, _, err := RunBall(g, nil, 2, gatherDecide, RunConfig{Workers: -1, Metrics: nil}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -203,7 +153,7 @@ func TestMetricsDefaultCollectorFallback(t *testing.T) {
 	obs.SetDefault(c)
 	defer obs.SetDefault(nil)
 	g := graph.Cycle(20)
-	if _, _, err := RunSequentialConfig(g, &GatherProtocol{Radius: 1, Decide: gatherDecide}, nil, RunConfig{}); err != nil {
+	if _, _, err := RunSequential(g, &GatherProtocol{Radius: 1, Decide: gatherDecide}, nil, RunConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Rounds()) == 0 {
@@ -211,7 +161,7 @@ func TestMetricsDefaultCollectorFallback(t *testing.T) {
 	}
 	// An explicit collector wins over the default.
 	explicit := &obs.Collector{}
-	if _, _, err := RunSequentialConfig(g, &GatherProtocol{Radius: 1, Decide: gatherDecide}, nil, RunConfig{Metrics: explicit}); err != nil {
+	if _, _, err := RunSequential(g, &GatherProtocol{Radius: 1, Decide: gatherDecide}, nil, RunConfig{Metrics: explicit}); err != nil {
 		t.Fatal(err)
 	}
 	if len(explicit.Rounds()) == 0 {
@@ -220,7 +170,7 @@ func TestMetricsDefaultCollectorFallback(t *testing.T) {
 }
 
 // TestMetricsFaultEvents: injected damage and crash activations surface as
-// events, identically across engines.
+// events, identically across all engines.
 func TestMetricsFaultEvents(t *testing.T) {
 	g := graph.Cycle(24)
 	advice := make(Advice, g.N())
@@ -240,19 +190,9 @@ func TestMetricsFaultEvents(t *testing.T) {
 		return
 	}
 	var wantFlipped int64 = -1
-	for _, engine := range []string{"scheduler", "sequential", "goroutine"} {
+	for _, engine := range EngineNames() {
 		c := &obs.Collector{}
-		cfg := RunConfig{Fault: plan, Metrics: c}
-		var err error
-		switch engine {
-		case "scheduler":
-			_, _, err = RunMessageConfig(g, &GatherProtocol{Radius: 2, Decide: gatherDecide}, advice, cfg)
-		case "sequential":
-			_, _, err = RunSequentialConfig(g, &GatherProtocol{Radius: 2, Decide: gatherDecide}, advice, cfg)
-		case "goroutine":
-			_, _, err = RunGoroutineConfig(g, &GatherProtocol{Radius: 2, Decide: gatherDecide}, advice, cfg)
-		}
-		if err != nil {
+		if _, _, err := RunDecider(engine, g, advice, 2, gatherDecide, RunConfig{Fault: plan, Metrics: c}); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
 		flipped, crashes := totals(c)

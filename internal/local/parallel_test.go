@@ -1,6 +1,7 @@
 package local
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -36,6 +37,16 @@ func viewFingerprint(view *View) any {
 		fp += fingerprintNode(id, view.Advice[i], view.TrueDegree[i], view.Dist[i])
 	}
 	return fmt.Sprintf("c%d|r%d|n%d|d%d|", view.G.ID(view.Center), view.Radius, view.N, view.Delta) + fp
+}
+
+// mustRunBall is RunBall for inputs the test knows are valid.
+func mustRunBall(t *testing.T, g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg RunConfig) ([]any, Stats) {
+	t.Helper()
+	out, stats, err := RunBall(g, advice, radius, algo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, stats
 }
 
 // propertyGraphs is the generator sweep of the parallel/sequential
@@ -77,9 +88,9 @@ func TestRunBallWorkerCountEquivalence(t *testing.T) {
 				advice[v] = bitstr.New(rng.Intn(2))
 			}
 			for _, radius := range []int{0, 1, 3} {
-				baseOut, baseStats := RunBallConfig(g, advice, radius, viewFingerprint, RunConfig{Workers: workerCounts[0]})
+				baseOut, baseStats := mustRunBall(t, g, advice, radius, viewFingerprint, RunConfig{Workers: workerCounts[0]})
 				for _, w := range workerCounts[1:] {
-					out, stats := RunBallConfig(g, advice, radius, viewFingerprint, RunConfig{Workers: w})
+					out, stats := mustRunBall(t, g, advice, radius, viewFingerprint, RunConfig{Workers: w})
 					if stats != baseStats {
 						t.Fatalf("seed %d %s r=%d: stats differ with %d workers: %+v vs %+v",
 							seed, name, radius, w, stats, baseStats)
@@ -91,9 +102,9 @@ func TestRunBallWorkerCountEquivalence(t *testing.T) {
 						}
 					}
 				}
-				// The default engine (whatever heuristic it applies) must
+				// The default fan-out (whatever heuristic it applies) must
 				// agree as well.
-				defOut, defStats := RunBall(g, advice, radius, viewFingerprint)
+				defOut, defStats := mustRunBall(t, g, advice, radius, viewFingerprint, RunConfig{})
 				if defStats != baseStats {
 					t.Fatalf("seed %d %s r=%d: default-engine stats differ", seed, name, radius)
 				}
@@ -107,9 +118,8 @@ func TestRunBallWorkerCountEquivalence(t *testing.T) {
 	}
 }
 
-// TestMessageEngineAgreesWithParallelViewEngine checks that the goroutine
-// message engine still assembles exactly the views the parallel ball engine
-// hands out.
+// TestMessageEngineAgreesWithParallelViewEngine checks that the sharded
+// scheduler assembles exactly the views the parallel ball engine hands out.
 func TestMessageEngineAgreesWithParallelViewEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for name, g := range propertyGraphs(t, 5) {
@@ -118,8 +128,8 @@ func TestMessageEngineAgreesWithParallelViewEngine(t *testing.T) {
 			advice[v] = bitstr.New(rng.Intn(2))
 		}
 		for _, radius := range []int{1, 2} {
-			ballOut, _ := RunBallConfig(g, advice, radius, viewFingerprint, RunConfig{Workers: 4})
-			msgOut, _, err := Run(g, &GatherProtocol{Radius: radius, Decide: viewFingerprint}, advice)
+			ballOut, _ := mustRunBall(t, g, advice, radius, viewFingerprint, RunConfig{Workers: 4})
+			msgOut, _, err := Run(g, &GatherProtocol{Radius: radius, Decide: viewFingerprint}, advice, RunConfig{})
 			if err != nil {
 				t.Fatalf("%s radius %d: %v", name, radius, err)
 			}
@@ -165,22 +175,23 @@ func TestViewsAreIndependent(t *testing.T) {
 	}
 }
 
+// TestAdviceLengthValidation checks that BuildView panics on truncated
+// advice and that the multi-worker ball engine reports it as a typed error;
+// TestTryVariantsRejectShortAdvice covers the other entry points.
 func TestAdviceLengthValidation(t *testing.T) {
-	g := graph.Cycle(6)
-	short := make(Advice, 3)
-	mustPanic := func(name string, f func()) {
+	g := graph.Cycle(10)
+	short := make(Advice, 4)
+	func() {
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s accepted truncated advice", name)
+				t.Error("BuildView accepted truncated advice")
 			}
 		}()
-		f()
+		BuildView(g, short, 0, 1)
+	}()
+	if _, _, err := RunBall(g, short, 1, gatherDecide, RunConfig{Workers: 2}); !errors.Is(err, ErrAdviceLength) {
+		t.Errorf("RunBall: err = %v, want ErrAdviceLength", err)
 	}
-	mustPanic("BuildView", func() { BuildView(g, short, 0, 1) })
-	mustPanic("RunBall", func() { RunBall(g, short, 1, func(*View) any { return nil }) })
-	mustPanic("RunBallConfig", func() {
-		RunBallConfig(g, short, 1, func(*View) any { return nil }, RunConfig{Workers: 2})
-	})
 	// nil advice and exact-length advice stay accepted.
 	BuildView(g, nil, 0, 1)
 	BuildView(g, make(Advice, g.N()), 0, 1)
@@ -194,8 +205,8 @@ func TestRunBallLargeGraphDefaultParallel(t *testing.T) {
 	for v := range advice {
 		advice[v] = bitstr.New(v % 2)
 	}
-	seqOut, seqStats := RunBallConfig(g, advice, 4, viewFingerprint, RunConfig{Workers: 1})
-	parOut, parStats := RunBall(g, advice, 4, viewFingerprint)
+	seqOut, seqStats := mustRunBall(t, g, advice, 4, viewFingerprint, RunConfig{Workers: 1})
+	parOut, parStats := mustRunBall(t, g, advice, 4, viewFingerprint, RunConfig{})
 	if seqStats != parStats {
 		t.Fatalf("stats differ: %+v vs %+v", seqStats, parStats)
 	}
@@ -217,12 +228,12 @@ func messageProtocols() map[string]Protocol {
 	}
 }
 
-// TestSchedulerMatchesGoroutineEngine is the engine-equivalence property
+// TestSchedulerMatchesSequentialEngine is the engine-equivalence property
 // test of the sharded scheduler: for every graph family, seed, and protocol,
-// the scheduler with worker counts 1, 2, and 8, the default Run dispatch,
-// and the sequential engine all produce outputs, rounds, and message counts
-// identical to the goroutine engine.
-func TestSchedulerMatchesGoroutineEngine(t *testing.T) {
+// the scheduler with worker counts 1, 2, and 8 and with the default fan-out
+// produces outputs, rounds, and message counts identical to the sequential
+// oracle, and the frugal engine produces identical outputs.
+func TestSchedulerMatchesSequentialEngine(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		for gname, g := range propertyGraphs(t, seed) {
 			rng := rand.New(rand.NewSource(seed * 31))
@@ -231,9 +242,9 @@ func TestSchedulerMatchesGoroutineEngine(t *testing.T) {
 				advice[v] = bitstr.New(rng.Intn(2))
 			}
 			for pname, p := range messageProtocols() {
-				refOut, refStats, err := RunGoroutine(g, p, advice)
+				refOut, refStats, err := RunSequential(g, p, advice, RunConfig{})
 				if err != nil {
-					t.Fatalf("seed %d %s/%s: goroutine engine: %v", seed, gname, pname, err)
+					t.Fatalf("seed %d %s/%s: sequential engine: %v", seed, gname, pname, err)
 				}
 				check := func(engine string, out []any, stats Stats, err error) {
 					t.Helper()
@@ -241,33 +252,29 @@ func TestSchedulerMatchesGoroutineEngine(t *testing.T) {
 						t.Fatalf("seed %d %s/%s: %s: %v", seed, gname, pname, engine, err)
 					}
 					if stats != refStats {
-						t.Fatalf("seed %d %s/%s: %s stats %+v, goroutine %+v",
+						t.Fatalf("seed %d %s/%s: %s stats %+v, sequential %+v",
 							seed, gname, pname, engine, stats, refStats)
 					}
 					for v := range out {
 						if out[v] != refOut[v] {
-							t.Fatalf("seed %d %s/%s node %d: %s output %v, goroutine %v",
+							t.Fatalf("seed %d %s/%s node %d: %s output %v, sequential %v",
 								seed, gname, pname, v, engine, out[v], refOut[v])
 						}
 					}
 				}
-				for _, w := range []int{1, 2, 8} {
-					out, stats, err := RunMessageConfig(g, p, advice, RunConfig{Workers: w})
+				for _, w := range []int{1, 2, 8, 0} {
+					out, stats, err := Run(g, p, advice, RunConfig{Workers: w})
 					check(fmt.Sprintf("scheduler(workers=%d)", w), out, stats, err)
 				}
-				defOut, defStats, err := Run(g, p, advice)
-				check("Run(default)", defOut, defStats, err)
-				seqOut, seqStats, err := RunSequential(g, p, advice)
-				check("sequential", seqOut, seqStats, err)
 				// The frugal engine must produce bit-identical outputs at
 				// every worker count. Its Stats count skeleton transport and
 				// forwarding overhead instead of protocol traffic, so they
 				// are pinned against the first frugal run (worker
 				// independence) and the known 2ρ+1 round overhead rather
-				// than against the goroutine engine.
+				// than against the sequential engine.
 				var frugalRef Stats
 				for i, w := range []int{-1, 1, 8} {
-					out, stats, err := RunFrugalConfig(g, p, advice, RunConfig{Workers: w})
+					out, stats, err := RunFrugal(g, p, advice, RunConfig{Workers: w})
 					engine := fmt.Sprintf("frugal(workers=%d)", w)
 					if err != nil {
 						t.Fatalf("seed %d %s/%s: %s: %v", seed, gname, pname, engine, err)
@@ -280,7 +287,7 @@ func TestSchedulerMatchesGoroutineEngine(t *testing.T) {
 					}
 					for v := range out {
 						if out[v] != refOut[v] {
-							t.Fatalf("seed %d %s/%s node %d: %s output %v, goroutine %v",
+							t.Fatalf("seed %d %s/%s node %d: %s output %v, sequential %v",
 								seed, gname, pname, v, engine, out[v], refOut[v])
 						}
 					}
@@ -314,7 +321,7 @@ func TestSchedulerMaxRounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins maxRounds rounds")
 	}
-	if _, _, err := Run(graph.Path(2), neverDoneProtocol{}, nil); err == nil {
+	if _, _, err := Run(graph.Path(2), neverDoneProtocol{}, nil, RunConfig{}); err == nil {
 		t.Fatal("non-terminating protocol did not error")
 	}
 }

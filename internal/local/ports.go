@@ -61,7 +61,8 @@ func (p portTable) slots() int { return int(p.off[len(p.off)-1]) }
 
 // reversePort returns, for node v's port i, the port index on the receiving
 // neighbor's side — the j such that v is the j-th neighbor of Neighbors(v)[i]
-// along the shared edge. Used by the goroutine engine to address channels.
+// along the shared edge. Used by the sequential engine to address per-node
+// inboxes.
 func (p portTable) reversePort(g *graph.Graph, v, i int) int {
 	w := g.Neighbors(v)[i]
 	return int(p.sendSlot[p.off[v]+int32(i)] - p.off[w])

@@ -12,11 +12,12 @@ import (
 	"localadvice/internal/obs"
 )
 
-// This file implements the sharded synchronous-round scheduler, the default
-// message engine behind Run. The LOCAL model charges only for rounds, never
-// for messages ("message reduction is a free lunch"), so the simulator is
-// free to replace physical message passing with shared memory as long as the
-// round semantics are preserved exactly.
+// This file implements the sharded synchronous-round scheduler, the message
+// engine behind Run (and, with an accounting hook, RunFrugal). The LOCAL
+// model charges only for rounds, never for messages ("message reduction is
+// a free lunch"), so the simulator is free to replace physical message
+// passing with shared memory as long as the round semantics are preserved
+// exactly.
 //
 // Layout: the per-port inboxes of all nodes live in two flat []Message slabs
 // (cur and next) indexed by the CSR portTable — no per-edge channels, no
@@ -31,8 +32,8 @@ import (
 // Determinism: outputs, doneAt, and done flags are written by node index,
 // message counts are summed (order-independent), and machines communicate
 // only through the slabs — so outputs, Stats.Rounds, and Stats.Messages are
-// bit-identical for every worker count and identical to the goroutine and
-// sequential engines.
+// bit-identical for every worker count and identical to the sequential
+// engine.
 
 // newMachines instantiates one protocol machine per node; shared by all
 // message engines so NodeInfo construction cannot drift between them.
@@ -58,30 +59,20 @@ func newMachines(g *graph.Graph, protocol Protocol, advice Advice) []Machine {
 
 // Run executes protocol on g with the given advice (nil for none) using the
 // sharded synchronous-round scheduler and returns each node's output plus
-// execution stats. Small graphs run on a single worker (fan-out overhead
-// dominates there); large graphs use the process default worker count (see
-// SetDefaultWorkers). Outputs and Stats are identical for any worker count,
-// and identical to RunGoroutine and RunSequential.
-func Run(g *graph.Graph, protocol Protocol, advice Advice) ([]any, Stats, error) {
-	workers := int(defaultWorkers.Load())
-	if g.N() < parallelThreshold && workers == 0 {
-		workers = 1
-	}
-	return RunMessageConfig(g, protocol, advice, RunConfig{Workers: workers})
-}
-
-// RunMessageConfig is Run with an explicit RunConfig: a worker count
-// (resolved by RunConfig.normalize — the single place the contract is
-// documented), optional fault injection, and optional metrics collection.
+// execution stats. cfg carries the worker count (resolved by
+// RunConfig.normalize — the single place the contract is documented),
+// optional fault injection, and optional metrics collection. Outputs and
+// Stats are identical for any worker count, and identical to RunSequential.
 // Malformed advice is reported as an error (wrapping ErrAdviceLength)
 // before the engine starts.
+//
 // Under an active cfg.Fault, advice corruption and ID reassignment are
 // applied up front; a crashed node stops participating at its crash round
 // (it sends nothing from then on and its output slot holds a
 // fault.CrashError), and — unlike in the ball engine — its silence is
 // observable by neighbors, whose views from that round on are missing the
 // crashed node's contributions.
-func RunMessageConfig(g *graph.Graph, protocol Protocol, advice Advice, cfg RunConfig) ([]any, Stats, error) {
+func Run(g *graph.Graph, protocol Protocol, advice Advice, cfg RunConfig) ([]any, Stats, error) {
 	return runSchedulerCore(g, protocol, advice, cfg, nil)
 }
 
@@ -100,7 +91,7 @@ type schedHook struct {
 }
 
 // runSchedulerCore is the sharded synchronous-round scheduler shared by
-// RunMessageConfig (nil hook) and RunFrugalConfig. The sweep, fault and
+// Run (nil hook) and RunFrugal. The sweep, fault and
 // termination semantics are identical in both cases — a hook only observes
 // the slabs between the barrier and the swap — which is what pins the
 // frugal engine's outputs bit-identical to the stock engines.
@@ -111,10 +102,6 @@ func runSchedulerCore(g *graph.Graph, protocol Protocol, advice Advice, cfg RunC
 	g, advice = cfg.applyFault(g, advice)
 	n := g.N()
 	workers := cfg.normalize(n)
-	shards, err := cfg.resolveShards(g, workers)
-	if err != nil {
-		return nil, Stats{}, err
-	}
 
 	pt := newPortTable(g)
 	engine := "scheduler"
@@ -154,75 +141,55 @@ func runSchedulerCore(g *graph.Graph, protocol Protocol, advice Advice, cfg RunC
 		allDone bool
 	}
 
-	// sweepNode advances one node by one round: read the inbox from cur,
-	// step the machine, deliver the outbox into next. Shared verbatim by
-	// the contiguous-range and partitioned sweeps, which is what pins
-	// partitioned outputs bit-identical to contiguous sharding.
-	sweepNode := func(v, round int, cur, next []Message, st *sweepStats) {
-		start, end := pt.off[v], pt.off[v+1]
-		var outbox []Message
-		if !done[v] && cfg.Fault.Crashes(v, round) {
-			// The node stops participating: it is marked done (so the
-			// run terminates) with a CrashError output, and from this
-			// round on all its ports carry nil.
-			done[v] = true
-			doneAt[v] = round
-			outputs[v] = fault.CrashError{Node: v, Round: round}
-			if measure {
-				m.Emit("fault.crash", "", 1)
-			}
-		}
-		if !done[v] {
-			st.active++
-			// The inbox slice aliases the slab and is valid only for
-			// the duration of the call (same contract as the other
-			// engines, which reuse a per-node buffer).
-			outbox, done[v] = machines[v].Round(round, cur[start:end])
-			if done[v] {
-				doneAt[v] = round
-				outputs[v] = machines[v].Output()
-			}
-		}
-		if !done[v] {
-			st.allDone = false
-		}
-		// Every port is written every round — nil from terminated or
-		// silent nodes — so next never needs clearing between rounds.
-		deg := int(end - start)
-		for i := 0; i < deg; i++ {
-			var msg Message
-			if i < len(outbox) {
-				msg = outbox[i]
-			}
-			if msg != nil {
-				st.sent++
-				if measure {
-					st.bytes += obs.ApproxSize(msg)
-				}
-			}
-			next[pt.sendSlot[start+int32(i)]] = msg
-		}
-	}
-
-	// sweep advances every node in [lo, hi) by one round — the contiguous
-	// index shard of the default sharding.
+	// sweep advances every node in [lo, hi) by one round — one contiguous
+	// index shard: read each inbox from cur, step the machine, deliver the
+	// outbox into next.
 	sweep := func(lo, hi, round int, cur, next []Message) sweepStats {
 		st := sweepStats{allDone: true}
 		for v := lo; v < hi; v++ {
-			sweepNode(v, round, cur, next, &st)
-		}
-		if st.sent > 0 {
-			msgCount.Add(st.sent)
-		}
-		return st
-	}
-
-	// sweepList is sweep over an explicit node list — one shard of a
-	// cfg.Partition grouping.
-	sweepList := func(nodes []int32, round int, cur, next []Message) sweepStats {
-		st := sweepStats{allDone: true}
-		for _, v := range nodes {
-			sweepNode(int(v), round, cur, next, &st)
+			start, end := pt.off[v], pt.off[v+1]
+			var outbox []Message
+			if !done[v] && cfg.Fault.Crashes(v, round) {
+				// The node stops participating: it is marked done (so the
+				// run terminates) with a CrashError output, and from this
+				// round on all its ports carry nil.
+				done[v] = true
+				doneAt[v] = round
+				outputs[v] = fault.CrashError{Node: v, Round: round}
+				if measure {
+					m.Emit("fault.crash", "", 1)
+				}
+			}
+			if !done[v] {
+				st.active++
+				// The inbox slice aliases the slab and is valid only for
+				// the duration of the call (same contract as the
+				// sequential engine, which reuses a per-node buffer).
+				outbox, done[v] = machines[v].Round(round, cur[start:end])
+				if done[v] {
+					doneAt[v] = round
+					outputs[v] = machines[v].Output()
+				}
+			}
+			if !done[v] {
+				st.allDone = false
+			}
+			// Every port is written every round — nil from terminated or
+			// silent nodes — so next never needs clearing between rounds.
+			deg := int(end - start)
+			for i := 0; i < deg; i++ {
+				var msg Message
+				if i < len(outbox) {
+					msg = outbox[i]
+				}
+				if msg != nil {
+					st.sent++
+					if measure {
+						st.bytes += obs.ApproxSize(msg)
+					}
+				}
+				next[pt.sendSlot[start+int32(i)]] = msg
+			}
 		}
 		if st.sent > 0 {
 			msgCount.Add(st.sent)
@@ -255,39 +222,23 @@ func runSchedulerCore(g *graph.Graph, protocol Protocol, advice Advice, cfg RunC
 		} else {
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
-				lo, hi := 0, 0
-				var nodes []int32
-				if shards != nil {
-					nodes = shards[w]
-					if len(nodes) == 0 {
-						shardStats[w] = sweepStats{allDone: true}
-						continue
-					}
-				} else {
-					lo = w * shard
-					hi = min(lo+shard, n)
-					if lo >= hi {
-						shardStats[w] = sweepStats{allDone: true}
-						continue
-					}
+				lo := w * shard
+				hi := min(lo+shard, n)
+				if lo >= hi {
+					shardStats[w] = sweepStats{allDone: true}
+					continue
 				}
 				wg.Add(1)
-				go func(w, lo, hi int, nodes []int32) {
+				go func(w, lo, hi int) {
 					defer wg.Done()
-					run := func() sweepStats {
-						if nodes != nil {
-							return sweepList(nodes, round, cur, next)
-						}
-						return sweep(lo, hi, round, cur, next)
-					}
 					if measure {
 						shardStart := time.Now()
-						shardStats[w] = run()
+						shardStats[w] = sweep(lo, hi, round, cur, next)
 						shardNanos[w] = time.Since(shardStart).Nanoseconds()
 					} else {
-						shardStats[w] = run()
+						shardStats[w] = sweep(lo, hi, round, cur, next)
 					}
-				}(w, lo, hi, nodes)
+				}(w, lo, hi)
 			}
 			wg.Wait()
 			total = sweepStats{allDone: true}

@@ -11,21 +11,14 @@ import (
 
 // RunSequential executes a message protocol with a single-threaded,
 // perfectly deterministic round loop — the same semantics as Run (the
-// sharded scheduler) and RunGoroutine, without concurrency or slab
-// indexing. It exists as an independently-written third implementation:
-// reproducible debugging of protocols and a triangulation point for the
-// engines-agree tests (three separate engines agreeing is much stronger
-// evidence than two).
-func RunSequential(g *graph.Graph, protocol Protocol, advice Advice) ([]any, Stats, error) {
-	return RunSequentialConfig(g, protocol, advice, RunConfig{})
-}
-
-// RunSequentialConfig is RunSequential with a RunConfig, for fault
-// injection; the worker count is ignored (the engine is single-threaded by
-// design). Crash semantics match RunMessageConfig exactly: the crashed node
-// is marked done with a fault.CrashError output at its crash round and
+// sharded scheduler), without concurrency or slab indexing. It is the
+// independently-written oracle the scheduler and the frugal engine are
+// pinned against by the engine-equivalence tests, and the engine for
+// reproducible debugging of protocols. cfg.Workers is ignored (the engine is
+// single-threaded by design). Crash semantics match Run exactly: the crashed
+// node is marked done with a fault.CrashError output at its crash round and
 // sends nothing from then on.
-func RunSequentialConfig(g *graph.Graph, protocol Protocol, advice Advice, cfg RunConfig) ([]any, Stats, error) {
+func RunSequential(g *graph.Graph, protocol Protocol, advice Advice, cfg RunConfig) ([]any, Stats, error) {
 	if err := validateAdvice(g, advice); err != nil {
 		return nil, Stats{}, err
 	}

@@ -51,36 +51,11 @@ func BuildView(g *graph.Graph, advice Advice, v, radius int) *View {
 	return b.BuildView(g, advice, v, radius)
 }
 
-// TryRunBall executes a ball algorithm with the given radius on every node
-// of g and returns the per-node outputs, reporting malformed advice as an
-// error (wrapping ErrAdviceLength) before the engine starts. The round
-// count is exactly the radius. The worker count comes from SetDefaultWorkers
-// and is resolved by RunConfig.normalize (the single source of truth for
-// the Workers contract); small graphs additionally run sequentially, since
-// fan-out overhead dominates below a few hundred nodes. Either way the
-// outputs and Stats are identical to a single-worker run.
-func TryRunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm) ([]any, Stats, error) {
-	workers := int(defaultWorkers.Load())
-	if g.N() < parallelThreshold && workers == 0 {
-		workers = 1
-	}
-	return TryRunBallConfig(g, advice, radius, algo, RunConfig{Workers: workers})
-}
-
-// RunBall is the historical panicking form of TryRunBall: it panics on
-// malformed advice instead of returning an error.
-func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm) ([]any, Stats) {
-	outputs, stats, err := TryRunBall(g, advice, radius, algo)
-	if err != nil {
-		panic(err)
-	}
-	return outputs, stats
-}
-
 // GatherProtocol is a message-engine protocol in which every node floods its
 // (ID, degree, advice, adjacency-so-far) for Radius rounds and then applies
-// Decide to the assembled view. It exists to validate that the two engines
-// agree; production decoders use RunBall directly.
+// Decide to the assembled view. RunDecider wraps a decide function in it to
+// run view-based decoders on the message engines; the engine-equivalence
+// tests use it to check that every engine hands out the same views.
 type GatherProtocol struct {
 	Radius int
 	Decide func(view *View) any

@@ -1,6 +1,6 @@
 // Package obs is the run-metrics and tracing layer of the simulator: a
 // zero-cost-when-disabled instrumentation surface the execution engines
-// (message scheduler, goroutine, sequential, ball), the Moser–Tardos solver,
+// (ball, scheduler, sequential, frugal), the Moser–Tardos solver,
 // and the fault-injection layer report into.
 //
 // The design mirrors the paper's cost model: everything the paper counts —

@@ -189,21 +189,16 @@ type edgeDir struct {
 }
 
 // DecodeVar implements core.VarSchema: every node orients its incident
-// edges from its radius-DecodeRadius view, and the per-node claims are
-// assembled (and cross-checked) into an orientation.
+// edges from its radius-DecodeRadius view on the ball engine, and the
+// per-node claims are assembled (and cross-checked) into an orientation.
 func (s Schema) DecodeVar(g *graph.Graph, va core.VarAdvice, _ []*lcl.Solution) (*lcl.Solution, local.Stats, error) {
-	if err := s.P.validate(); err != nil {
-		return nil, local.Stats{}, err
-	}
-	advice := va.Dense(g.N())
-	outputs, stats := local.RunBall(g, advice, s.P.DecodeRadius(), s.viewDecide)
-	return s.assemble(g, outputs, stats)
+	return s.DecodeVarOn("ball", g, va, local.RunConfig{})
 }
 
 // DecodeVarOn is DecodeVar running on a named engine (local.EngineNames):
 // the same per-node decide, dispatched through local.RunDecider, so the
 // engine-equivalence and seed-independence walls can pin the decoded
-// orientation bit-identical across all five engines and worker counts.
+// orientation bit-identical across all four engines and worker counts.
 func (s Schema) DecodeVarOn(engine string, g *graph.Graph, va core.VarAdvice, cfg local.RunConfig) (*lcl.Solution, local.Stats, error) {
 	if err := s.P.validate(); err != nil {
 		return nil, local.Stats{}, err

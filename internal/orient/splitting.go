@@ -88,7 +88,7 @@ func rulingSetGreedy(g *graph.Graph, cover int) ([]int, error) {
 // DecodeVar implements core.VarSchema.
 func (t TwoColoringStage) DecodeVar(g *graph.Graph, va core.VarAdvice, _ []*lcl.Solution) (*lcl.Solution, local.Stats, error) {
 	advice := va.Dense(g.N())
-	outputs, stats := local.RunBall(g, advice, t.CoverRadius, func(view *local.View) any {
+	outputs, stats, err := local.RunBall(g, advice, t.CoverRadius, func(view *local.View) any {
 		// Nearest marked node, ties toward smaller ID.
 		best := -1
 		for i := 0; i < view.G.N(); i++ {
@@ -106,7 +106,10 @@ func (t TwoColoringStage) DecodeVar(g *graph.Graph, va core.VarAdvice, _ []*lcl.
 		// In a bipartite graph all paths between two nodes have the same
 		// parity, so any shortest path gives the right color.
 		return 1 + (view.Advice[best].Bit(0)+view.Dist[best])%2
-	})
+	}, local.RunConfig{})
+	if err != nil {
+		return nil, stats, err
+	}
 	sol := lcl.NewSolution(g)
 	for v, out := range outputs {
 		if err, isErr := out.(error); isErr {

@@ -99,7 +99,7 @@ func (t TwoColoringStage) DecodeVarMessage(g *graph.Graph, va core.VarAdvice, _ 
 	if t.CoverRadius < 1 {
 		return nil, local.Stats{}, fmt.Errorf("orient: two-coloring cover radius must be >= 1, got %d", t.CoverRadius)
 	}
-	outputs, stats, err := local.Run(g, &twoColorProtocol{radius: t.CoverRadius}, va.Dense(g.N()))
+	outputs, stats, err := local.Run(g, &twoColorProtocol{radius: t.CoverRadius}, va.Dense(g.N()), local.RunConfig{})
 	if err != nil {
 		return nil, stats, err
 	}

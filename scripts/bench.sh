@@ -40,13 +40,6 @@
 # overhead against the stock scheduler on the saturating grid flood, which
 # the regression gate holds to a ≥3x message floor at ≤2x rounds.
 #
-# A "decomp" section records `locad decomp -sched -json`: scheduler
-# rounds/s with contiguous index shards vs the low-diameter decomposition's
-# low-cut ball shards on 4096-node grid/torus/gnp graphs at 2/4/8 workers.
-# The gate always requires bit-identical outputs between the shardings and
-# structurally valid decompositions; the ≥1.0x locality speedup floor binds
-# only when the recording host has >= 4 CPUs (DESIGN.md decision 9).
-#
 # A "detlll" section records `locad detlll -json`: the three LLL resolution
 # methods (seeded Moser–Tardos vs the deterministic conditional-expectations
 # and decomposition-guided solvers) compared on solver work and
@@ -72,7 +65,7 @@ go test -run '^$' -bench "$pattern" -benchmem . | tee "$raw"
 # traffic, so this number regresses when a change adds synchronization or
 # sharing to the hot paths even if the benchmarks above stay flat.
 race_start=$(date +%s)
-go test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp|Partition' \
+go test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp' \
     ./internal/local ./internal/fault ./internal/decomp >/dev/null
 race_seconds=$(( $(date +%s) - race_start ))
 echo "race-enabled equivalence tests: ${race_seconds}s"
@@ -143,15 +136,6 @@ msgred_json="$workdir/msgred.json"
 "$locad_bin" msgred -graph grid -n 4096 -json >"$msgred_json"
 echo "frugal-engine message-reduction comparison collected"
 
-# Scheduler-sharding comparison: contiguous index shards vs the low-diameter
-# decomposition's low-cut ball shards on the flood workload. Lands under the
-# "decomp" key; the gate checks output identity always and the locality
-# speedup only on hosts with enough cores.
-decomp_json="$workdir/decomp.json"
-"$locad_bin" decomp -sched -graphs grid,torus,gnp -n 4096 -beta 0.1 \
-    -sched-workers 2,4,8 -reps 3 -json >"$decomp_json"
-echo "scheduler-sharding decomposition comparison collected"
-
 # Deterministic-LLL comparison: Moser–Tardos vs the conditional-expectations
 # solvers on the 1024-cycle, with the rotating-seed warm-hit probe of the
 # det-mode server schemas. Lands under the "detlll" key.
@@ -170,7 +154,7 @@ merged="$workdir/serve_merged.json"
 } > "$merged"
 serve_json="$merged"
 
-awk -v date="$(date +%F)" -v race_seconds="$race_seconds" -v expfile="$exp_json" -v servefile="$serve_json" -v clusterfile="$cluster_json" -v msgredfile="$msgred_json" -v decompfile="$decomp_json" -v detlllfile="$detlll_json" '
+awk -v date="$(date +%F)" -v race_seconds="$race_seconds" -v expfile="$exp_json" -v servefile="$serve_json" -v clusterfile="$cluster_json" -v msgredfile="$msgred_json" -v detlllfile="$detlll_json" '
 BEGIN { n = 0 }
 /^cpu: /  { cpu = substr($0, 6) }
 /^Benchmark/ {
@@ -206,7 +190,6 @@ END {
     embed(servefile, "serve")
     embed(clusterfile, "cluster")
     embed(msgredfile, "msgred")
-    embed(decompfile, "decomp")
     embed(detlllfile, "detlll")
     printf "  \"benchmarks\": [\n"
     for (i = 0; i < n; i++) printf "%s%s\n", recs[i], (i < n - 1 ? "," : "")

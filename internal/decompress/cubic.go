@@ -140,7 +140,7 @@ func buildCubicPlan(g *graph.Graph) (*cubicPlan, error) {
 	// Materialize per-node outgoing lists in canonical neighbor-ID order.
 	for v := 0; v < g.N(); v++ {
 		var outs []int
-		for _, e := range sortedIncidentByID(g, v) {
+		for _, e := range g.IncidentEdgesByID(v) {
 			if plan.edgeOwner[e] == v {
 				outs = append(outs, e)
 			}
@@ -192,7 +192,7 @@ func freeSlot(g *graph.Graph, plan *cubicPlan, outDeg []int, a int) error {
 		}
 		// Smallest-ID outgoing edge of cur in the original orientation.
 		pick := -1
-		for _, e := range sortedIncidentByID(g, cur) {
+		for _, e := range g.IncidentEdgesByID(cur) {
 			if plan.edgeOwner[e] == cur {
 				pick = e
 				break

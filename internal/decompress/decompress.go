@@ -16,7 +16,6 @@ package decompress
 
 import (
 	"fmt"
-	"sort"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/core"
@@ -53,16 +52,6 @@ type Codec interface {
 	MaxBits(d int) int
 }
 
-// sortedIncidentByID returns v's incident edges ordered by neighbor ID — the
-// canonical order both the encoder and the decoder use.
-func sortedIncidentByID(g *graph.Graph, v int) []int {
-	inc := append([]int(nil), g.IncidentEdges(v)...)
-	sort.Slice(inc, func(a, b int) bool {
-		return g.ID(g.Other(inc[a], v)) < g.ID(g.Other(inc[b], v))
-	})
-	return inc
-}
-
 // Trivial is the baseline codec: node v of degree d stores d bits, one per
 // incident edge in canonical order. Decoding needs 0 rounds.
 type Trivial struct{}
@@ -80,7 +69,7 @@ func (Trivial) Encode(g *graph.Graph, x EdgeSet) (local.Advice, error) {
 	advice := make(local.Advice, g.N())
 	for v := 0; v < g.N(); v++ {
 		s := bitstr.String{}
-		for _, e := range sortedIncidentByID(g, v) {
+		for _, e := range g.IncidentEdgesByID(v) {
 			bit := 0
 			if x[e] {
 				bit = 1
@@ -99,7 +88,7 @@ func (Trivial) Decode(g *graph.Graph, advice local.Advice) (EdgeSet, local.Stats
 	}
 	x := make(EdgeSet)
 	for v := 0; v < g.N(); v++ {
-		inc := sortedIncidentByID(g, v)
+		inc := g.IncidentEdgesByID(v)
 		if advice[v].Len() != len(inc) {
 			return nil, local.Stats{}, fmt.Errorf("decompress: node %d holds %d bits for degree %d", v, advice[v].Len(), len(inc))
 		}
@@ -153,7 +142,7 @@ func (c Oriented) Encode(g *graph.Graph, x EdgeSet) (local.Advice, error) {
 		} else {
 			s = s.Append(0)
 		}
-		for _, e := range sortedIncidentByID(g, v) {
+		for _, e := range g.IncidentEdgesByID(v) {
 			if !outFrom(g, sol, e, v) {
 				continue
 			}
@@ -205,7 +194,7 @@ func (c Oriented) Decode(g *graph.Graph, advice local.Advice) (EdgeSet, local.St
 			header = 2
 		}
 		i := header
-		for _, e := range sortedIncidentByID(g, v) {
+		for _, e := range g.IncidentEdgesByID(v) {
 			if !outFrom(g, sol, e, v) {
 				continue
 			}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -216,6 +217,35 @@ func TestNewFromEdgesMatchesIncremental(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] || ia[i] != ib[i] {
 				t.Fatalf("adjacency order mismatch at node %d slot %d", v, i)
+			}
+		}
+	}
+}
+
+// TestRebuildInPlace rebuilds one graph large → small → large and checks
+// each result against a fresh NewFromEdges, including the lazily cached
+// NodeByID map and CSR snapshot that an in-place rebuild must drop.
+func TestRebuildInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	small := Star(4)
+	AssignSpreadIDs(small, rng)
+	large := RandomGNP(30, 0.2, rng)
+	AssignPermutedIDs(large, rng)
+	g := NewFromEdges(nil, nil)
+	for _, want := range []*Graph{large, small, large} {
+		g.NodeByID(1) // fill both caches from the previous contents
+		g.Snapshot()
+		g.Rebuild(want.ids, want.Edges())
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if g.N() != want.N() || g.M() != want.M() || g.Snapshot().MaxDegree() != want.MaxDegree() {
+			t.Fatalf("rebuilt %s, want %s (CSR Δ %d)", g, want, g.Snapshot().MaxDegree())
+		}
+		for v := 0; v < want.N(); v++ {
+			if g.NodeByID(want.ID(v)) != v || !slices.Equal(g.Neighbors(v), want.Neighbors(v)) ||
+				!slices.Equal(g.IncidentEdges(v), want.IncidentEdges(v)) {
+				t.Fatalf("rebuilt %s differs from %s at node %d", g, want, v)
 			}
 		}
 	}

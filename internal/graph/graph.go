@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -27,6 +28,11 @@ type Graph struct {
 	adj   [][]int // adjacency lists of neighbor node indices
 	inc   [][]int // incident edge indices, aligned with adj
 	edges []Edge
+
+	// buf is the storage Rebuild lays adj and inc out in (2m adjacency
+	// slots, 2m incidence slots, then n degree counters) and reuses on the
+	// next Rebuild.
+	buf []int
 
 	// byIDs caches the id -> node index map, built on first NodeByID; the
 	// view engine constructs thousands of short-lived subgraphs whose IDs
@@ -87,55 +93,65 @@ func (g *Graph) AddEdge(u, v int) (int, error) {
 }
 
 // NewFromEdges assembles a graph in one pass from node IDs and a complete
-// edge list, preallocating the adjacency storage exactly (two backing arrays
-// shared by all nodes). It is the bulk constructor of the view engine's hot
-// path. The ids slice is copied; the edges slice is taken over by the graph
-// and must not be modified afterwards. Edges must satisfy U < V with both
-// endpoints in range, and the edge list must describe a simple graph (no
-// duplicates); endpoint violations panic, duplicates are the caller's
-// responsibility (Validate detects them). IDs must be positive; duplicate
-// IDs are detected lazily, on the first NodeByID lookup.
+// edge list; it is Rebuild on a new graph.
+func NewFromEdges(ids []int64, edges []Edge) *Graph {
+	g := &Graph{}
+	g.Rebuild(ids, edges)
+	return g
+}
+
+// Rebuild replaces g in place by the graph on len(ids) nodes carrying ids
+// and the given edges, reusing g's storage wherever it is large enough: a
+// graph rebuilt over and over (the ball engine's per-worker view) stops
+// allocating once it has held its largest graph. Both slices are copied.
+// Edges must satisfy U < V with both endpoints in range, and the edge list
+// must describe a simple graph (no duplicates); endpoint violations panic,
+// duplicates are the caller's responsibility (Validate detects them). IDs
+// must be positive; duplicate IDs are detected lazily, on the first NodeByID
+// lookup.
 //
 // Adjacency order matches what repeated AddEdge calls in the same edge order
-// would produce, so the two construction paths are interchangeable.
-func NewFromEdges(ids []int64, edges []Edge) *Graph {
-	n := len(ids)
+// would produce, so the two construction paths are interchangeable. Rebuild
+// drops the cached NodeByID map and CSR snapshot, and every slice g's
+// accessors returned before it is invalid afterwards.
+func (g *Graph) Rebuild(ids []int64, edges []Edge) {
+	n, m := len(ids), len(edges)
 	for v, id := range ids {
 		if id <= 0 {
 			panic(fmt.Sprintf("graph: non-positive ID %d for node %d", id, v))
 		}
 	}
-	deg := make([]int, n)
 	for _, e := range edges {
 		if e.U < 0 || e.V >= n || e.U >= e.V {
 			panic(fmt.Sprintf("graph: bad edge {%d,%d} for %d nodes", e.U, e.V, n))
 		}
+	}
+	g.n = n
+	g.ids = append(g.ids[:0], ids...)
+	g.edges = append(g.edges[:0], edges...)
+	g.buf = slices.Grow(g.buf[:0], 4*m+n)[:4*m+n]
+	adjBacking, incBacking, deg := g.buf[:2*m], g.buf[2*m:4*m], g.buf[4*m:]
+	clear(deg)
+	for _, e := range g.edges {
 		deg[e.U]++
 		deg[e.V]++
 	}
-	adjBacking := make([]int, 2*len(edges))
-	incBacking := make([]int, 2*len(edges))
-	adj := make([][]int, n)
-	inc := make([][]int, n)
+	g.adj = slices.Grow(g.adj[:0], n)[:n]
+	g.inc = slices.Grow(g.inc[:0], n)[:n]
 	off := 0
 	for v := 0; v < n; v++ {
-		adj[v] = adjBacking[off : off : off+deg[v]]
-		inc[v] = incBacking[off : off : off+deg[v]]
+		g.adj[v] = adjBacking[off : off : off+deg[v]]
+		g.inc[v] = incBacking[off : off : off+deg[v]]
 		off += deg[v]
 	}
-	for i, e := range edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-		inc[e.U] = append(inc[e.U], i)
-		inc[e.V] = append(inc[e.V], i)
+	for i, e := range g.edges {
+		g.adj[e.U] = append(g.adj[e.U], e.V)
+		g.adj[e.V] = append(g.adj[e.V], e.U)
+		g.inc[e.U] = append(g.inc[e.U], i)
+		g.inc[e.V] = append(g.inc[e.V], i)
 	}
-	return &Graph{
-		n:     n,
-		ids:   append([]int64(nil), ids...),
-		adj:   adj,
-		inc:   inc,
-		edges: edges,
-	}
+	g.byIDs.Store(nil)
+	g.snap.Store(nil)
 }
 
 // MustAddEdge is AddEdge that panics on error; for generators and tests.
@@ -172,6 +188,19 @@ func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 // Neighbors(v): IncidentEdges(v)[i] is the edge to Neighbors(v)[i]. The
 // returned slice must not be modified.
 func (g *Graph) IncidentEdges(v int) []int { return g.inc[v] }
+
+// IncidentEdgesByID returns a fresh copy of v's incident edges ordered by
+// the neighbor's ID. It is the canonical form of the "arbitrary fixed order"
+// of a node's edges that the paper's constructions leave open: it depends on
+// IDs only, so an encoder on the host graph and a decoder on a view whose
+// node sees all its edges derive the same order.
+func (g *Graph) IncidentEdgesByID(v int) []int {
+	inc := append([]int(nil), g.inc[v]...)
+	sort.Slice(inc, func(a, b int) bool {
+		return g.ids[g.Other(inc[a], v)] < g.ids[g.Other(inc[b], v)]
+	})
+	return inc
+}
 
 // Edge returns the endpoints of edge index e.
 func (g *Graph) Edge(e int) Edge { return g.edges[e] }
@@ -321,7 +350,7 @@ func (g *Graph) SortAdjacencyByID() {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	return NewFromEdges(g.ids, append([]Edge(nil), g.edges...))
+	return NewFromEdges(g.ids, g.edges)
 }
 
 // Validate checks internal consistency (used by tests and after generators).

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -96,7 +97,11 @@ func TestSortAdjacencyByID(t *testing.T) {
 	if err := g.SetIDs([]int64{100, 3, 2, 1}); err != nil {
 		t.Fatal(err)
 	}
+	byID := g.IncidentEdgesByID(0) // the same order, without mutating g
 	g.SortAdjacencyByID()
+	if !slices.Equal(byID, g.IncidentEdges(0)) {
+		t.Fatalf("IncidentEdgesByID(0) = %v, sorted incident edges %v", byID, g.IncidentEdges(0))
+	}
 	want := []int{3, 2, 1} // by IDs 1 < 2 < 3
 	got := g.Neighbors(0)
 	for i := range want {

@@ -248,7 +248,7 @@ func (s Schema) decodeNode(view *local.View) any {
 			partial.Node[subIndex[v]] = s.Problem.NodeAlphabet()[idx]
 		}
 		if edgeW > 0 {
-			for _, e := range sortedIncidentByID(vg, v) {
+			for _, e := range vg.IncidentEdgesByID(v) {
 				w := vg.Other(e, v)
 				if !inDomain[w] {
 					continue

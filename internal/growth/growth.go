@@ -263,7 +263,7 @@ func (s Schema) stripBits(g *graph.Graph, sol *lcl.Solution, strip []int, inDoma
 			out = out.Concat(bitstr.FromUint(uint64(idx), nodeW))
 		}
 		if edgeW > 0 {
-			for _, e := range sortedIncidentByID(g, v) {
+			for _, e := range g.IncidentEdgesByID(v) {
 				if !inDomain[g.Other(e, v)] {
 					continue
 				}
@@ -276,14 +276,6 @@ func (s Schema) stripBits(g *graph.Graph, sol *lcl.Solution, strip []int, inDoma
 		}
 	}
 	return out, nil
-}
-
-func sortedIncidentByID(g *graph.Graph, v int) []int {
-	inc := append([]int(nil), g.IncidentEdges(v)...)
-	sort.Slice(inc, func(a, b int) bool {
-		return g.ID(g.Other(inc[a], v)) < g.ID(g.Other(inc[b], v))
-	})
-	return inc
 }
 
 // dataCarriers returns the canonical ordered list of nodes that can carry

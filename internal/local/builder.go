@@ -3,6 +3,7 @@ package local
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,34 +170,58 @@ func mustValidateAdvice(g *graph.Graph, advice Advice) {
 }
 
 // ViewBuilder assembles radius-T views using per-builder scratch storage (a
-// bounded-BFS scratch and an edge accumulation buffer), so building views in
-// a loop performs near-zero steady-state allocation beyond the returned View
-// itself. A ViewBuilder is not safe for concurrent use; the parallel engine
-// gives each worker its own.
+// bounded-BFS scratch and ID and edge accumulation buffers). It also owns
+// the one View that RunBall hands its algorithm for every node the
+// builder's worker evaluates, rebuilt in place (graph.Graph.Rebuild and
+// resliced per-node arrays), so the ball engine allocates nothing per node
+// once the builder has held its largest view. A ViewBuilder is not safe for
+// concurrent use; the parallel engine gives each worker its own.
 type ViewBuilder struct {
 	bfs   graph.BFSScratch
+	ids   []int64
 	edges []graph.Edge
+
+	// view is RunBall's reused View; its G points at sub.
+	view View
+	sub  graph.Graph
 }
 
 // NewViewBuilder returns an empty builder; its scratch sizes itself lazily
 // to the graphs it sees.
 func NewViewBuilder() *ViewBuilder { return &ViewBuilder{} }
 
-// builderPool backs the package-level BuildView and the sequential RunBall
-// path so that one-off callers also reuse scratch.
+// builderPool backs the package-level BuildView and RunBall's workers so
+// that one-off callers also reuse scratch.
 var builderPool = sync.Pool{New: func() any { return NewViewBuilder() }}
 
 // BuildView constructs the radius-T view of node v in g under advice. The
 // returned View shares nothing with the builder and may be retained.
 func (b *ViewBuilder) BuildView(g *graph.Graph, advice Advice, v, radius int) *View {
 	mustValidateAdvice(g, advice)
+	view := &View{G: new(graph.Graph)}
+	b.fill(view, g, advice, v, radius)
+	return view
+}
+
+// reusedView rebuilds the builder's own View as the radius-T view of node v
+// and returns it. The View is valid until the builder's next reusedView
+// call; advice must already be validated.
+func (b *ViewBuilder) reusedView(g *graph.Graph, advice Advice, v, radius int) *View {
+	b.view.G = &b.sub
+	b.fill(&b.view, g, advice, v, radius)
+	return &b.view
+}
+
+// fill overwrites view (whose G must be non-nil) with the radius-T view of
+// node v, reusing view's storage where it is large enough.
+func (b *ViewBuilder) fill(view *View, g *graph.Graph, advice Advice, v, radius int) {
 	csr := g.Snapshot()
 	ball := g.BFSWithin(v, radius, &b.bfs)
 	k := len(ball)
 
-	ids := make([]int64, k)
-	for i, u := range ball {
-		ids[i] = g.ID(int(u))
+	b.ids = b.ids[:0]
+	for _, u := range ball {
+		b.ids = append(b.ids, g.ID(int(u)))
 	}
 	// Collect the visible edges: both endpoints in the ball, at least one
 	// endpoint strictly inside radius (a node learns an edge in T rounds
@@ -217,28 +242,23 @@ func (b *ViewBuilder) BuildView(g *graph.Graph, advice Advice, v, radius int) *V
 			b.edges = append(b.edges, graph.Edge{U: i, V: j})
 		}
 	}
-	edges := make([]graph.Edge, len(b.edges))
-	copy(edges, b.edges)
-	sub := graph.NewFromEdges(ids, edges)
+	view.G.Rebuild(b.ids, b.edges)
 
-	view := &View{
-		G:          sub,
-		Center:     0, // v is the BFS source, always first in ball order
-		Dist:       make([]int, k),
-		Advice:     make([]bitstr.String, k),
-		TrueDegree: make([]int, k),
-		Radius:     radius,
-		N:          g.N(),
-		Delta:      csr.MaxDegree(),
-	}
+	view.Center = 0 // v is the BFS source, always first in ball order
+	view.Dist = slices.Grow(view.Dist[:0], k)[:k]
+	view.Advice = slices.Grow(view.Advice[:0], k)[:k]
+	view.TrueDegree = slices.Grow(view.TrueDegree[:0], k)[:k]
+	view.Radius = radius
+	view.N = g.N()
+	view.Delta = csr.MaxDegree()
 	for i, u := range ball {
 		view.Dist[i] = b.bfs.Dist(int(u))
 		view.TrueDegree[i] = csr.Degree(int(u))
+		view.Advice[i] = bitstr.String{}
 		if int(u) < len(advice) {
 			view.Advice[i] = advice[int(u)]
 		}
 	}
-	return view
 }
 
 // RunBall executes a ball algorithm with the given radius on every node of
@@ -247,6 +267,11 @@ func (b *ViewBuilder) BuildView(g *graph.Graph, advice Advice, v, radius int) *V
 // production decoders are); outputs are written by node index, so the
 // result is identical for any worker count (cfg.Workers, resolved by
 // RunConfig.normalize).
+//
+// Each worker hands its algorithm one View, rebuilt in place for every node
+// it evaluates, so the view (its graph, slices and the graph's accessor
+// results) is valid only during the call; see BallAlgorithm. Callers that
+// keep views build them with BuildView.
 //
 // A negative radius (an error wrapping ErrNegativeRadius) and malformed
 // advice (wrapping ErrAdviceLength) are reported before the engine starts.
@@ -309,7 +334,7 @@ func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg 
 		if v == crashed {
 			return fault.CrashError{Node: v, Round: cfg.Fault.CrashRound}
 		}
-		return algo(b.BuildView(g, advice, v, radius))
+		return algo(b.reusedView(g, advice, v, radius))
 	}
 
 	if workers <= 1 {

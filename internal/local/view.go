@@ -40,6 +40,13 @@ func (v *View) NodeByID(id int64) int { return v.G.NodeByID(id) }
 
 // BallAlgorithm is a LOCAL algorithm in view form: a function of the
 // radius-T view of each node. The returned value is the node's output.
+//
+// The view is valid only during the call: RunBall rebuilds one View per
+// worker in place for the next node, so neither the View, its G, nor any
+// slice reached through them (Dist, Advice, TrueDegree, G.Neighbors,
+// G.Edges, ...) may be kept or returned. Outputs must be values computed
+// from the view: ints, fresh slices or maps, bitstr.String values (which
+// share the host advice's storage, not the view's), or errors.
 type BallAlgorithm func(view *View) any
 
 // BuildView constructs the radius-T view of node v in g under advice. It is

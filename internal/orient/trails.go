@@ -16,39 +16,41 @@ package orient
 
 import (
 	"fmt"
-	"sort"
 
 	"localadvice/internal/graph"
 	"localadvice/internal/lcl"
 )
 
-// sortedIncident returns the incident edges of v sorted by the neighbor's
-// ID — the "arbitrary fixed order" of the paper, made canonical so that
-// every node (and every view) computes the same pairing.
-func sortedIncident(g *graph.Graph, v int) []int {
-	inc := append([]int(nil), g.IncidentEdges(v)...)
-	sort.Slice(inc, func(a, b int) bool {
-		return g.ID(g.Other(inc[a], v)) < g.ID(g.Other(inc[b], v))
-	})
-	return inc
-}
-
 // partnerAt returns the edge paired with e at node v, or -1 when e is the
-// unpaired leftover edge of an odd-degree node. Edges 2i and 2i+1 of the
-// sorted incident order are partners.
+// unpaired leftover edge of an odd-degree node. In v's incident edges
+// ordered by neighbor ID (graph.IncidentEdgesByID, the paper's "arbitrary
+// fixed order" made canonical so that every node and every view computes
+// the same pairing), the edges of ranks 2i and 2i+1 are partners. One
+// allocation-free pass finds e's rank and the edges just below and just
+// above it in that order: an odd rank pairs e with the one below, an even
+// rank with the one above.
 func partnerAt(g *graph.Graph, v, e int) int {
-	inc := sortedIncident(g, v)
-	for i, f := range inc {
-		if f != e {
-			continue
+	id := g.ID(g.Other(e, v))
+	rank, below, above := 0, -1, -1
+	var belowID, aboveID int64
+	nbrs := g.Neighbors(v)
+	for i, f := range g.IncidentEdges(v) {
+		fid := g.ID(nbrs[i])
+		switch {
+		case f == e:
+		case fid < id:
+			rank++
+			if below == -1 || fid > belowID {
+				below, belowID = f, fid
+			}
+		case above == -1 || fid < aboveID:
+			above, aboveID = f, fid
 		}
-		j := i ^ 1
-		if j >= len(inc) {
-			return -1 // odd degree, last edge unpaired
-		}
-		return inc[j]
 	}
-	return -1
+	if rank%2 == 1 {
+		return below
+	}
+	return above
 }
 
 // Trail is one trail of the decomposition: Nodes[i] and Nodes[i+1] are the
@@ -187,7 +189,9 @@ func CanonicalDirection(g *graph.Graph, t *Trail) bool {
 // in particular on the subgraph of a LOCAL view, where pairings of nodes
 // with complete neighborhoods agree with the host graph's.
 func Walk(g *graph.Graph, startNode, firstEdge, maxSteps int) (nodes, edges []int, wrapped bool) {
-	nodes = []int{startNode}
+	size := max(maxSteps, 0) + 1 // a walk visits at most maxSteps+1 nodes
+	nodes = append(make([]int, 0, size), startNode)
+	edges = make([]int, 0, size)
 	cur, curEdge := startNode, firstEdge
 	for step := 0; step < maxSteps; step++ {
 		next := g.Other(curEdge, cur)

@@ -16,7 +16,7 @@ func TestPropertyOwnerDeterministic(t *testing.T) {
 		"graph:cycle:64:1": "shard0",
 		"graph:torus:36:2": "shard0",
 		"graph:text:4a5e1e4baab89f3a32518a88c31bd87b618f76673e8cc77f7aeadf8cd9ded4d5": "shard0",
-		"advice:deadbeef:mis@radius=0":                                               "shard2",
+		"advice:deadbeef:mis@radius=0": "shard2",
 	}
 	for key, want := range golden {
 		if got := Owner(key, shards); got != want {

@@ -18,35 +18,9 @@ func (s Schema) Encode(g *graph.Graph) (local.Advice, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := buildClustering(g, s.ClusterRadius)
+	bit, err := s.adviceBits(g, sol)
 	if err != nil {
 		return nil, err
-	}
-	bit := make([]int, g.N())
-	for _, m := range c.markers {
-		bit[m[0]], bit[m[1]] = 1, 1
-	}
-	rbar := s.Problem.Radius()
-	for mi := range c.markers {
-		strip := stripNodes(g, c, mi, rbar)
-		domain := domainNodes(g, c, mi, strip)
-		inDomain := map[int]bool{}
-		for _, v := range domain {
-			inDomain[v] = true
-		}
-		payload, err := s.stripBits(g, sol, strip, inDomain)
-		if err != nil {
-			return nil, err
-		}
-		carriers := s.dataCarriers(g, c, mi)
-		if payload.Len() > len(carriers) {
-			return nil, fmt.Errorf(
-				"growth: cluster %d needs %d data bits but its interior holds only %d carriers — the family's growth is too fast for ClusterRadius=%d (Theorem 4.1's capacity precondition)",
-				mi, payload.Len(), len(carriers), s.ClusterRadius)
-		}
-		for i := 0; i < payload.Len(); i++ {
-			bit[carriers[i]] = payload.Bit(i)
-		}
 	}
 	advice := make(local.Advice, g.N())
 	for v, b := range bit {
@@ -63,6 +37,37 @@ func (s Schema) Encode(g *graph.Graph) (local.Advice, error) {
 	return advice, nil
 }
 
+// adviceBits places every node's advice bit: 1 on each marker pair, each
+// cluster's strip payload on its data carriers, 0 elsewhere.
+func (s Schema) adviceBits(g *graph.Graph, sol *lcl.Solution) ([]int, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	c := buildClustering(g, s.ClusterRadius, sc)
+	bit := make([]int, g.N())
+	for _, m := range c.markers {
+		bit[m[0]], bit[m[1]] = 1, 1
+	}
+	rbar := s.Problem.Radius()
+	for mi := range c.markers {
+		strip := stripNodes(g, c, mi, rbar, sc)
+		domainNodes(g, c, mi, strip, sc)
+		payload, err := s.stripBits(g, sol, strip, sc.pos)
+		if err != nil {
+			return nil, err
+		}
+		carriers := s.dataCarriers(g, c, mi, sc)
+		if payload.Len() > len(carriers) {
+			return nil, fmt.Errorf(
+				"growth: cluster %d needs %d data bits but its interior holds only %d carriers — the family's growth is too fast for ClusterRadius=%d (Theorem 4.1's capacity precondition)",
+				mi, payload.Len(), len(carriers), s.ClusterRadius)
+		}
+		for i := 0; i < payload.Len(); i++ {
+			bit[carriers[i]] = payload.Bit(i)
+		}
+	}
+	return bit, nil
+}
+
 func (s Schema) solve(g *graph.Graph) (*lcl.Solution, error) {
 	if s.Solver != nil {
 		return s.Solver(g)
@@ -77,7 +82,29 @@ func (s Schema) solve(g *graph.Graph) (*lcl.Solution, error) {
 // nodeOutput is one node's decoded labels.
 type nodeOutput struct {
 	nodeLabel  int
-	edgeLabels map[int64]int // neighbor ID -> label
+	edgeLabels []edgeLabel // one per incident edge of the completion subgraph
+}
+
+// edgeLabel is a node's decoded label for its edge to the neighbor with
+// the given ID.
+type edgeLabel struct {
+	neighbor int64
+	label    int
+}
+
+// decoder is the per-node decoder of one Decode or VerifyProof run. It
+// reads the problem's alphabets once, since NodeAlphabet and EdgeAlphabet
+// may allocate on every call.
+type decoder struct {
+	Schema
+	nodeAlpha, edgeAlpha []int
+	nodeW, edgeW         int
+}
+
+func (s Schema) decoder() *decoder {
+	d := &decoder{Schema: s, nodeAlpha: s.Problem.NodeAlphabet(), edgeAlpha: s.Problem.EdgeAlphabet()}
+	d.nodeW, d.edgeW = widthOf(d.nodeAlpha), widthOf(d.edgeAlpha)
+	return d
 }
 
 // Decode runs the LOCAL decoder.
@@ -93,46 +120,43 @@ func (s Schema) Decode(g *graph.Graph, advice local.Advice) (*lcl.Solution, loca
 			return nil, local.Stats{}, fmt.Errorf("growth: node %d holds %d bits, want 1", v, a.Len())
 		}
 	}
-	outputs, stats, err := local.RunBall(g, advice, s.DecodeRadius(), func(view *local.View) any {
-		return s.decodeNode(view)
-	}, local.RunConfig{})
+	d := s.decoder()
+	outputs, stats, err := local.RunBall(g, advice, s.DecodeRadius(), d.decodeNode, local.RunConfig{})
 	if err != nil {
 		return nil, stats, err
 	}
 	sol := lcl.NewSolution(g)
-	useNodes := s.Problem.NodeAlphabet() != nil
-	useEdges := s.Problem.EdgeAlphabet() != nil
 	for v, out := range outputs {
 		if err, isErr := out.(error); isErr {
 			return nil, stats, fmt.Errorf("growth: node %d: %w", v, err)
 		}
 		no := out.(nodeOutput)
-		if useNodes {
+		if d.nodeAlpha != nil {
 			sol.Node[v] = no.nodeLabel
 		}
-		if useEdges {
-			for nid, label := range no.edgeLabels {
-				w := g.NodeByID(nid)
-				if w == -1 {
-					return nil, stats, fmt.Errorf("growth: node %d labels edge to unknown ID %d", v, nid)
-				}
-				e := g.EdgeIndex(v, w)
-				if sol.Edge[e] != lcl.Unset && sol.Edge[e] != label {
-					return nil, stats, fmt.Errorf("growth: endpoints of edge %d disagree", e)
-				}
-				sol.Edge[e] = label
+		for _, el := range no.edgeLabels {
+			w := g.NodeByID(el.neighbor)
+			if w == -1 {
+				return nil, stats, fmt.Errorf("growth: node %d labels edge to unknown ID %d", v, el.neighbor)
 			}
+			e := g.EdgeIndex(v, w)
+			if sol.Edge[e] != lcl.Unset && sol.Edge[e] != el.label {
+				return nil, stats, fmt.Errorf("growth: endpoints of edge %d disagree", e)
+			}
+			sol.Edge[e] = el.label
 		}
 	}
 	return sol, stats, nil
 }
 
 // decodeNode reconstructs the center's cluster, reads its strip labels, and
-// completes the cluster by deterministic brute force.
-func (s Schema) decodeNode(view *local.View) any {
+// completes the cluster by deterministic brute force. Its working state is
+// a pooled scratch; the nodeOutput it returns is freshly allocated.
+func (d *decoder) decodeNode(view *local.View) any {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	vg := view.G
-	center := view.Center
-	rbar := s.Problem.Radius()
+	n := vg.N()
 
 	// Identify marker pairs and data bits among visible 1-nodes: a marker
 	// bit has a 1-neighbor, a data bit does not. Only nodes with complete
@@ -154,114 +178,101 @@ func (s Schema) decodeNode(view *local.View) any {
 	// Components reaching depth radius-1 may be truncated by the view edge
 	// and are ignored (they belong to clusters too far to matter); fully
 	// visible components (all members at depth <= radius-2) must be pairs.
-	var markers [][2]int
-	seen := map[int]bool{}
-	for i := 0; i < vg.N(); i++ {
-		if seen[i] || view.Dist[i] > view.Radius-1 || !isMarkerBit(i) {
+	// Each component is one BFS appended to the scratch's visit order.
+	seen := &sc.bfs
+	seen.Begin(n)
+	markers := sc.markers[:0]
+	for i := 0; i < n; i++ {
+		if seen.Visited(i) || view.Dist[i] > view.Radius-1 || !isMarkerBit(i) {
 			continue
 		}
-		var comp []int
+		first := len(seen.Order())
+		seen.Visit(i, 0)
 		truncated := false
-		queue := []int{i}
-		seen[i] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
+		for head := first; head < len(seen.Order()); head++ {
+			u := int(seen.Order()[head])
 			if view.Dist[u] > view.Radius-2 {
 				truncated = true
 			}
 			for _, w := range vg.Neighbors(u) {
-				if !seen[w] && view.Dist[w] <= view.Radius-1 && isMarkerBit(w) {
-					seen[w] = true
-					queue = append(queue, w)
+				if !seen.Visited(w) && view.Dist[w] <= view.Radius-1 && isMarkerBit(w) {
+					seen.Visit(w, 0)
 				}
 			}
 		}
 		if truncated {
 			continue
 		}
+		comp := seen.Order()[first:]
 		if len(comp) != 2 {
 			return fmt.Errorf("marker component of size %d", len(comp))
 		}
-		markers = append(markers, [2]int{comp[0], comp[1]})
+		markers = append(markers, [2]int{int(comp[0]), int(comp[1])})
 	}
+	sc.markers = markers
 
 	if len(markers) == 0 {
-		return s.decodeSolo(view)
+		return d.decodeSolo(view, sc)
 	}
 
 	// Build the view-local clustering: Voronoi over visible markers.
-	c := &clustering{
-		markers: markers,
-		cluster: make([]int, vg.N()),
-		solo:    make([]bool, vg.N()),
-	}
+	c := &clustering{markers: markers, cluster: resized(sc.cluster, n)}
+	sc.cluster = c.cluster
 	for v := range c.cluster {
 		c.cluster[v] = -1
 	}
-	assignVoronoi(vg, c)
+	assignVoronoi(vg, c, sc)
 
-	my := c.cluster[center]
+	my := c.cluster[view.Center]
 	if my == -1 {
-		return s.decodeSolo(view)
+		return d.decodeSolo(view, sc)
 	}
 
-	strip := stripNodes(vg, c, my, rbar)
-	domain := domainNodes(vg, c, my, strip)
-	inDomain := map[int]bool{}
-	for _, v := range domain {
-		inDomain[v] = true
-	}
-	carriers := s.dataCarriers(vg, c, my)
+	strip := stripNodes(vg, c, my, d.Problem.Radius(), sc)
+	domain := domainNodes(vg, c, my, strip, sc)
+	carriers := d.dataCarriers(vg, c, my, sc)
 
 	// Read the strip labels off the carriers.
-	nodeW := widthOf(s.Problem.NodeAlphabet())
-	edgeW := widthOf(s.Problem.EdgeAlphabet())
-	pos := 0
+	next := 0
 	read := func(width int) (int, error) {
-		if pos+width > len(carriers) {
-			return 0, fmt.Errorf("ran out of data carriers at bit %d", pos)
+		if next+width > len(carriers) {
+			return 0, fmt.Errorf("ran out of data carriers at bit %d", next)
 		}
 		v := 0
 		for i := 0; i < width; i++ {
-			v = v<<1 | boolToInt(bitOne(carriers[pos]))
-			pos++
+			v = v<<1 | boolToInt(bitOne(carriers[next]))
+			next++
 		}
 		return v, nil
 	}
-	sub, orig := vg.InducedSubgraph(domain)
-	subIndex := make(map[int]int, len(orig))
-	for si, v := range orig {
-		subIndex[v] = si
-	}
-	partial := lcl.NewSolution(sub)
+	sub := sc.induce(vg, domain)
+	partial := sc.unsetPartial(sub)
 	for _, v := range strip {
-		if nodeW > 0 {
-			idx, err := read(nodeW)
+		if d.nodeW > 0 {
+			idx, err := read(d.nodeW)
 			if err != nil {
 				return err
 			}
-			if idx >= len(s.Problem.NodeAlphabet()) {
+			if idx >= len(d.nodeAlpha) {
 				return fmt.Errorf("node label index %d out of alphabet", idx)
 			}
-			partial.Node[subIndex[v]] = s.Problem.NodeAlphabet()[idx]
+			partial.Node[sc.pos[v]] = d.nodeAlpha[idx]
 		}
-		if edgeW > 0 {
+		if d.edgeW > 0 {
 			for _, e := range vg.IncidentEdgesByID(v) {
 				w := vg.Other(e, v)
-				if !inDomain[w] {
+				if sc.pos[w] < 0 {
 					continue
 				}
-				idx, err := read(edgeW)
+				idx, err := read(d.edgeW)
 				if err != nil {
 					return err
 				}
-				if idx >= len(s.Problem.EdgeAlphabet()) {
+				if idx >= len(d.edgeAlpha) {
 					return fmt.Errorf("edge label index %d out of alphabet", idx)
 				}
-				se := sub.EdgeIndex(subIndex[v], subIndex[w])
-				label := s.Problem.EdgeAlphabet()[idx]
+				se := sub.EdgeIndex(sc.pos[v], sc.pos[w])
+				label := d.edgeAlpha[idx]
 				if partial.Edge[se] != lcl.Unset && partial.Edge[se] != label {
 					return fmt.Errorf("strip encodes edge %d inconsistently", se)
 				}
@@ -270,17 +281,33 @@ func (s Schema) decodeNode(view *local.View) any {
 		}
 	}
 	// Complete the cluster: constraints checked at my cluster's members.
-	var checkNodes []int
-	for _, v := range domain {
+	check := sc.check[:0]
+	for i, v := range domain {
 		if c.cluster[v] == my {
-			checkNodes = append(checkNodes, subIndex[v])
+			check = append(check, i)
 		}
 	}
-	completed, ok := lcl.SolveBudget(s.Problem, sub, partial, checkNodes, completionBudget)
+	sc.check = check
+	completed, ok := lcl.SolveBudget(d.Problem, sub, partial, check, completionBudget)
 	if !ok {
 		return fmt.Errorf("cluster completion unsolvable (or over budget)")
 	}
-	return s.extractOutput(sub, completed, subIndex[center])
+	return d.extractOutput(sub, completed, sc.pos[view.Center])
+}
+
+// unsetPartial resets the scratch's partial solution to an all-unset one
+// sized for sub.
+func (sc *scratch) unsetPartial(sub *graph.Graph) *lcl.Solution {
+	p := &sc.partial
+	p.Node = resized(p.Node, sub.N())
+	p.Edge = resized(p.Edge, sub.M())
+	for i := range p.Node {
+		p.Node[i] = lcl.Unset
+	}
+	for i := range p.Edge {
+		p.Edge[i] = lcl.Unset
+	}
+	return p
 }
 
 // completionBudget caps the per-cluster brute-force search: honest
@@ -291,40 +318,43 @@ func (s Schema) decodeNode(view *local.View) any {
 const completionBudget = 500000
 
 // decodeSolo handles a node whose whole (marker-free) component is visible.
-func (s Schema) decodeSolo(view *local.View) any {
+func (d *decoder) decodeSolo(view *local.View, sc *scratch) any {
 	vg := view.G
-	comp := vg.Ball(view.Center, view.Radius)
-	// The component must be fully visible: no member at the view boundary.
-	for _, v := range comp {
+	sc.sources = append(sc.sources[:0], view.Center)
+	comp := sc.domain[:0]
+	for _, v := range sc.within(vg, sc.sources, view.Radius) {
+		// The component must be fully visible: no member at the view
+		// boundary.
 		if view.Dist[v] >= view.Radius-1 {
 			return fmt.Errorf("component extends beyond the view with no marker in sight")
 		}
+		comp = append(comp, int(v))
 	}
-	sub, orig := vg.InducedSubgraph(comp)
-	subIndex := make(map[int]int, len(orig))
-	for si, v := range orig {
-		subIndex[v] = si
+	sc.domain = comp
+	sc.indexNodes(vg.N(), comp)
+	sub := sc.induce(vg, comp)
+	all := sc.check[:0]
+	for i := range comp {
+		all = append(all, i)
 	}
-	all := make([]int, sub.N())
-	for i := range all {
-		all[i] = i
-	}
-	completed, ok := lcl.SolveBudget(s.Problem, sub, lcl.NewSolution(sub), all, completionBudget)
+	sc.check = all
+	completed, ok := lcl.SolveBudget(d.Problem, sub, sc.unsetPartial(sub), all, completionBudget)
 	if !ok {
 		return fmt.Errorf("solo component unsolvable (or over budget)")
 	}
-	return s.extractOutput(sub, completed, subIndex[view.Center])
+	return d.extractOutput(sub, completed, sc.pos[view.Center])
 }
 
 // extractOutput pulls one node's labels from a completed solution.
-func (s Schema) extractOutput(sub *graph.Graph, sol *lcl.Solution, v int) nodeOutput {
-	out := nodeOutput{edgeLabels: map[int64]int{}}
-	if s.Problem.NodeAlphabet() != nil {
+func (d *decoder) extractOutput(sub *graph.Graph, sol *lcl.Solution, v int) nodeOutput {
+	var out nodeOutput
+	if d.nodeAlpha != nil {
 		out.nodeLabel = sol.Node[v]
 	}
-	if s.Problem.EdgeAlphabet() != nil {
+	if d.edgeAlpha != nil {
+		out.edgeLabels = make([]edgeLabel, sub.Degree(v))
 		for i, e := range sub.IncidentEdges(v) {
-			out.edgeLabels[sub.ID(sub.Neighbors(v)[i])] = sol.Edge[e]
+			out.edgeLabels[i] = edgeLabel{neighbor: sub.ID(sub.Neighbors(v)[i]), label: sol.Edge[e]}
 		}
 	}
 	return out

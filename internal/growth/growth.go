@@ -23,9 +23,11 @@
 package growth
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/graph"
@@ -88,28 +90,56 @@ func alphaIndex(alphabet []int, label int) (int, error) {
 // clustering holds the shared structure both encoder and decoder compute.
 type clustering struct {
 	markers [][2]int // marker components: {center, partner}
-	cluster []int    // node -> marker index, or -1 (unclustered isolated)
-	solo    []bool   // node -> isolated with no marker (decodes alone)
+	cluster []int    // node -> marker index, or -1 (no marker reachable: decodes alone)
 }
 
-// buildClustering computes markers and Voronoi clusters on any graph (the
-// host graph for the encoder, a view subgraph for consistency tests).
-func buildClustering(g *graph.Graph, radius int) (*clustering, error) {
-	centers := greedyCover(g, radius)
-	c := &clustering{cluster: make([]int, g.N()), solo: make([]bool, g.N())}
+// scratch is the reusable working state of the clustering helpers, which
+// the encoder runs on the host graph and the decoder on every node's view:
+// node-indexed arrays instead of maps, BFS state, and the storage of the
+// completion subgraph and its partial solution. Scratches are pooled
+// (scratchPool), so a worker decoding node after node reuses one and stops
+// allocating once it has held its largest view. A scratch is not safe for
+// concurrent use, and nothing a decoder returns may alias it.
+type scratch struct {
+	bfs     graph.BFSScratch
+	cluster []int
+	markers [][2]int
+	byMinID []int
+	sources []int
+	taken   []bool
+	// pos[v] is v's position in the node list last passed to indexNodes,
+	// or -1.
+	pos      []int
+	strip    []int
+	domain   []int
+	carriers []int
+	check    []int
+	ids      []int64
+	edges    []graph.Edge
+	sub      graph.Graph
+	partial  lcl.Solution
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// resized returns buf resliced to length n, growing it if needed; the
+// contents are unspecified.
+func resized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
+
+// buildClustering computes markers and Voronoi clusters on the host graph.
+func buildClustering(g *graph.Graph, radius int, sc *scratch) *clustering {
+	c := &clustering{cluster: make([]int, g.N())}
 	for v := range c.cluster {
 		c.cluster[v] = -1
 	}
-	for _, center := range centers {
-		if g.Degree(center) == 0 {
-			c.solo[center] = true
-			continue
+	for _, center := range greedyCover(g, radius) {
+		// An isolated center is its own component and decodes alone.
+		if g.Degree(center) > 0 {
+			c.markers = append(c.markers, [2]int{center, smallestIDNeighbor(g, center)})
 		}
-		partner := smallestIDNeighbor(g, center)
-		c.markers = append(c.markers, [2]int{center, partner})
 	}
-	assignVoronoi(g, c)
-	return c, nil
+	assignVoronoi(g, c, sc)
+	return c
 }
 
 func greedyCover(g *graph.Graph, cover int) []int {
@@ -133,8 +163,13 @@ func byID(g *graph.Graph) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return g.ID(order[a]) < g.ID(order[b]) })
+	sortByID(g, order)
 	return order
+}
+
+// sortByID sorts node indices by ID; IDs are unique, so the order is total.
+func sortByID(g *graph.Graph, nodes []int) {
+	slices.SortFunc(nodes, func(a, b int) int { return cmp.Compare(g.ID(a), g.ID(b)) })
 }
 
 func smallestIDNeighbor(g *graph.Graph, v int) int {
@@ -147,49 +182,44 @@ func smallestIDNeighbor(g *graph.Graph, v int) int {
 	return best
 }
 
-// assignVoronoi assigns every non-solo node to the nearest marker component
-// (ties toward the component with the smaller minimum member ID).
+// assignVoronoi assigns every node reachable from a marker to the nearest
+// marker component (ties toward the component with the smaller minimum
+// member ID); the rest keep cluster -1.
 //
 // One multi-source BFS replaces the historical per-seed sweeps: seeds are
 // enqueued in increasing min-member-ID order, so within every distance layer
 // the queue stays grouped by that order, and the first marker to discover a
 // node is exactly the argmin of (distance, min member ID). O(n + m) total
 // instead of O(#markers * (n + m)).
-func assignVoronoi(g *graph.Graph, c *clustering) {
+func assignVoronoi(g *graph.Graph, c *clustering, sc *scratch) {
 	if len(c.markers) == 0 {
 		return
 	}
-	byMinID := make([]int, len(c.markers))
-	for i := range byMinID {
-		byMinID[i] = i
+	byMinID := sc.byMinID[:0]
+	for i := range c.markers {
+		byMinID = append(byMinID, i)
 	}
-	sort.Slice(byMinID, func(a, b int) bool {
-		return markerMinID(g, c.markers[byMinID[a]]) < markerMinID(g, c.markers[byMinID[b]])
+	slices.SortFunc(byMinID, func(a, b int) int {
+		return cmp.Compare(markerMinID(g, c.markers[a]), markerMinID(g, c.markers[b]))
 	})
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]int32, 0, g.N())
+	sc.byMinID = byMinID
+	s := &sc.bfs
+	s.Begin(g.N())
 	for _, mi := range byMinID {
 		for _, seed := range c.markers[mi] {
-			if dist[seed] == -1 && !c.solo[seed] {
-				dist[seed] = 0
+			if !s.Visited(seed) {
+				s.Visit(seed, 0)
 				c.cluster[seed] = mi
-				queue = append(queue, int32(seed))
 			}
 		}
 	}
-	csr := g.Snapshot()
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, w := range csr.Neighbors(int(u)) {
-			if dist[w] != -1 || c.solo[w] {
-				continue
+	for head := 0; head < len(s.Order()); head++ {
+		u := int(s.Order()[head])
+		for _, w := range g.Neighbors(u) {
+			if !s.Visited(w) {
+				s.Visit(w, s.Dist(u)+1)
+				c.cluster[w] = c.cluster[u]
 			}
-			dist[w] = dist[u] + 1
-			c.cluster[w] = c.cluster[u]
-			queue = append(queue, w)
 		}
 	}
 }
@@ -202,61 +232,112 @@ func markerMinID(g *graph.Graph, m [2]int) int64 {
 	return b
 }
 
+// within returns every node within distance r of a source, in BFS order,
+// as a slice owned by sc.bfs (which also holds the distances). It walks the
+// adjacency lists rather than a CSR snapshot, which a view graph, rebuilt
+// for every node, would have to allocate afresh.
+func (sc *scratch) within(g *graph.Graph, sources []int, r int) []int32 {
+	s := &sc.bfs
+	s.Begin(g.N())
+	for _, v := range sources {
+		if !s.Visited(v) {
+			s.Visit(v, 0)
+		}
+	}
+	for head := 0; head < len(s.Order()); head++ {
+		u := int(s.Order()[head])
+		d := s.Dist(u)
+		if d >= r {
+			continue
+		}
+		for _, w := range g.Neighbors(u) {
+			if !s.Visited(w) {
+				s.Visit(w, d+1)
+			}
+		}
+	}
+	return s.Order()
+}
+
 // stripNodes returns the boundary strip of cluster mi: every node within
 // problem-radius rbar of an endpoint of a cross-cluster edge touching mi,
-// sorted by ID.
-func stripNodes(g *graph.Graph, c *clustering, mi, rbar int) []int {
-	seen := map[int]bool{}
+// sorted by ID. The slice is owned by sc.
+func stripNodes(g *graph.Graph, c *clustering, mi, rbar int, sc *scratch) []int {
+	sc.sources = sc.sources[:0]
 	for _, e := range g.Edges() {
 		cu, cv := c.cluster[e.U], c.cluster[e.V]
 		if cu == cv || cu != mi && cv != mi {
 			continue
 		}
-		for _, end := range []int{e.U, e.V} {
-			for _, w := range g.Ball(end, rbar) {
-				seen[w] = true
+		sc.sources = append(sc.sources, e.U, e.V)
+	}
+	strip := sc.strip[:0]
+	for _, v := range sc.within(g, sc.sources, rbar) {
+		strip = append(strip, int(v))
+	}
+	sortByID(g, strip)
+	sc.strip = strip
+	return strip
+}
+
+// domainNodes returns the completion domain of cluster mi, its members plus
+// its strip, sorted by ID, and indexes it (sc.pos). The slice is owned by
+// sc.
+func domainNodes(g *graph.Graph, c *clustering, mi int, strip []int, sc *scratch) []int {
+	sc.indexNodes(g.N(), strip)
+	domain := append(sc.domain[:0], strip...)
+	for v := 0; v < g.N(); v++ {
+		if c.cluster[v] == mi && sc.pos[v] == -1 {
+			domain = append(domain, v)
+		}
+	}
+	sortByID(g, domain)
+	sc.domain = domain
+	sc.indexNodes(g.N(), domain)
+	return domain
+}
+
+// indexNodes sets pos[v] to v's position in nodes, and to -1 for every
+// other node of an n-node graph.
+func (sc *scratch) indexNodes(n int, nodes []int) {
+	sc.pos = resized(sc.pos, n)
+	for v := range sc.pos {
+		sc.pos[v] = -1
+	}
+	for i, v := range nodes {
+		sc.pos[v] = i
+	}
+}
+
+// induce rebuilds sc.sub as the subgraph of g induced by nodes, in that
+// order (node i of the subgraph is nodes[i]), and returns it; nodes must be
+// indexed (indexNodes).
+func (sc *scratch) induce(g *graph.Graph, nodes []int) *graph.Graph {
+	sc.ids = sc.ids[:0]
+	sc.edges = sc.edges[:0]
+	for i, v := range nodes {
+		sc.ids = append(sc.ids, g.ID(v))
+		for _, w := range g.Neighbors(v) {
+			if j := sc.pos[w]; j > i {
+				sc.edges = append(sc.edges, graph.Edge{U: i, V: j})
 			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return g.ID(out[a]) < g.ID(out[b]) })
-	return out
-}
-
-// domainNodes returns the completion domain of cluster mi: its members plus
-// its strip, sorted by ID.
-func domainNodes(g *graph.Graph, c *clustering, mi int, strip []int) []int {
-	seen := map[int]bool{}
-	for v := 0; v < g.N(); v++ {
-		if c.cluster[v] == mi {
-			seen[v] = true
-		}
-	}
-	for _, v := range strip {
-		seen[v] = true
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return g.ID(out[a]) < g.ID(out[b]) })
-	return out
+	sc.sub.Rebuild(sc.ids, sc.edges)
+	return &sc.sub
 }
 
 // stripBits serializes the solution on the strip: for each strip node in ID
 // order, its node label index (if the problem labels nodes), then the label
 // indices of its incident domain edges in neighbor-ID order (if the problem
-// labels edges).
-func (s Schema) stripBits(g *graph.Graph, sol *lcl.Solution, strip []int, inDomain map[int]bool) (bitstr.String, error) {
-	nodeW := widthOf(s.Problem.NodeAlphabet())
-	edgeW := widthOf(s.Problem.EdgeAlphabet())
+// labels edges). pos[v] >= 0 marks the domain's nodes.
+func (s Schema) stripBits(g *graph.Graph, sol *lcl.Solution, strip, pos []int) (bitstr.String, error) {
+	nodeAlpha, edgeAlpha := s.Problem.NodeAlphabet(), s.Problem.EdgeAlphabet()
+	nodeW, edgeW := widthOf(nodeAlpha), widthOf(edgeAlpha)
 	out := bitstr.String{}
 	for _, v := range strip {
 		if nodeW > 0 {
-			idx, err := alphaIndex(s.Problem.NodeAlphabet(), sol.Node[v])
+			idx, err := alphaIndex(nodeAlpha, sol.Node[v])
 			if err != nil {
 				return bitstr.String{}, err
 			}
@@ -264,10 +345,10 @@ func (s Schema) stripBits(g *graph.Graph, sol *lcl.Solution, strip []int, inDoma
 		}
 		if edgeW > 0 {
 			for _, e := range g.IncidentEdgesByID(v) {
-				if !inDomain[g.Other(e, v)] {
+				if pos[g.Other(e, v)] < 0 {
 					continue
 				}
-				idx, err := alphaIndex(s.Problem.EdgeAlphabet(), sol.Edge[e])
+				idx, err := alphaIndex(edgeAlpha, sol.Edge[e])
 				if err != nil {
 					return bitstr.String{}, err
 				}
@@ -281,48 +362,39 @@ func (s Schema) stripBits(g *graph.Graph, sol *lcl.Solution, strip []int, inDoma
 // dataCarriers returns the canonical ordered list of nodes that can carry
 // data bits for cluster mi: a greedy (by ID) independent set among the
 // cluster's nodes within dataRadius of the marker, excluding the marker and
-// its neighborhood.
-func (s Schema) dataCarriers(g *graph.Graph, c *clustering, mi int) []int {
+// its neighborhood. The slice is owned by sc.
+func (s Schema) dataCarriers(g *graph.Graph, c *clustering, mi int, sc *scratch) []int {
 	m := c.markers[mi]
-	excluded := map[int]bool{m[0]: true, m[1]: true}
-	for _, seed := range m {
-		for _, w := range g.Neighbors(seed) {
-			excluded[w] = true
-		}
-	}
-	// Only nodes within dataRadius of a marker seed qualify, so two bounded
-	// traversals replace the historical pair of full-graph BFS passes. The
-	// second ball skips nodes the first already saw.
-	sA, sB := graph.NewBFSScratch(), graph.NewBFSScratch()
-	var zone []int
-	for _, u := range g.BFSWithin(m[0], s.dataRadius(), sA) {
+	// One traversal from both marker seeds covers the union of their
+	// dataRadius balls, and the excluded nodes (the seeds and their
+	// neighbors) are exactly those at distance <= 1 from the pair.
+	sc.sources = append(sc.sources[:0], m[0], m[1])
+	zone := sc.carriers[:0]
+	for _, u := range sc.within(g, sc.sources, s.dataRadius()) {
 		v := int(u)
-		if c.cluster[v] == mi && !excluded[v] {
+		if sc.bfs.Dist(v) > 1 && c.cluster[v] == mi {
 			zone = append(zone, v)
 		}
 	}
-	for _, u := range g.BFSWithin(m[1], s.dataRadius(), sB) {
-		v := int(u)
-		if sA.Dist(v) == -1 && c.cluster[v] == mi && !excluded[v] {
-			zone = append(zone, v)
-		}
-	}
-	sort.Slice(zone, func(a, b int) bool { return g.ID(zone[a]) < g.ID(zone[b]) })
-	// Greedy independent subset.
-	taken := map[int]bool{}
-	var carriers []int
+	sortByID(g, zone)
+	// Greedy independent subset, kept in place: carriers[:k] never
+	// overtakes the zone entry being read.
+	sc.taken = resized(sc.taken, g.N())
+	clear(sc.taken)
+	carriers := zone[:0]
 	for _, v := range zone {
 		ok := true
 		for _, w := range g.Neighbors(v) {
-			if taken[w] {
+			if sc.taken[w] {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			taken[v] = true
+			sc.taken[v] = true
 			carriers = append(carriers, v)
 		}
 	}
+	sc.carriers = carriers
 	return carriers
 }

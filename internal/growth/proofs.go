@@ -56,39 +56,34 @@ func (s Schema) VerifyProof(g *graph.Graph, advice local.Advice) (ProofResult, e
 	// failing node rather than a global error.
 	sol := lcl.NewSolution(g)
 	decodeFailed := make([]bool, g.N())
-	outputs, _, err := local.RunBall(g, advice, s.DecodeRadius(), func(view *local.View) any {
-		return s.decodeNode(view)
-	}, local.RunConfig{})
+	d := s.decoder()
+	outputs, _, err := local.RunBall(g, advice, s.DecodeRadius(), d.decodeNode, local.RunConfig{})
 	if err != nil {
 		return ProofResult{}, err
 	}
-	useNodes := s.Problem.NodeAlphabet() != nil
-	useEdges := s.Problem.EdgeAlphabet() != nil
 	for v, out := range outputs {
 		if _, isErr := out.(error); isErr {
 			decodeFailed[v] = true
 			continue
 		}
 		no := out.(nodeOutput)
-		if useNodes {
+		if d.nodeAlpha != nil {
 			sol.Node[v] = no.nodeLabel
 		}
-		if useEdges {
-			for nid, label := range no.edgeLabels {
-				w := g.NodeByID(nid)
-				if w == -1 {
-					decodeFailed[v] = true
-					continue
-				}
-				e := g.EdgeIndex(v, w)
-				if sol.Edge[e] != lcl.Unset && sol.Edge[e] != label {
-					// Endpoints disagree: both reject.
-					decodeFailed[v] = true
-					decodeFailed[w] = true
-					continue
-				}
-				sol.Edge[e] = label
+		for _, el := range no.edgeLabels {
+			w := g.NodeByID(el.neighbor)
+			if w == -1 {
+				decodeFailed[v] = true
+				continue
 			}
+			e := g.EdgeIndex(v, w)
+			if sol.Edge[e] != lcl.Unset && sol.Edge[e] != el.label {
+				// Endpoints disagree: both reject.
+				decodeFailed[v] = true
+				decodeFailed[w] = true
+				continue
+			}
+			sol.Edge[e] = el.label
 		}
 	}
 

@@ -137,6 +137,33 @@ func toSet(xs []int) map[int]bool {
 	return m
 }
 
+// violation is the error the built-in problems' CheckNode methods return:
+// a message format and its integer operands, formatted only when printed.
+// The brute-force solver rejects most candidate labels through CheckNode
+// and never reads the message, so a rejection costs one small allocation
+// instead of a fmt.Errorf.
+type violation struct {
+	format string
+	args   [4]int
+	n      int
+}
+
+// violated returns the violation described by format and up to four
+// integer operands.
+func violated(format string, args ...int) error {
+	v := &violation{format: format, n: len(args)}
+	copy(v.args[:], args)
+	return v
+}
+
+func (v *violation) Error() string {
+	var args [len(v.args)]any
+	for i, a := range v.args[:v.n] {
+		args[i] = a
+	}
+	return fmt.Sprintf(v.format, args[:v.n]...)
+}
+
 func alphabet(k int) []int {
 	out := make([]int, k)
 	for i := range out {

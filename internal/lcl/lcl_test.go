@@ -3,6 +3,7 @@ package lcl
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"localadvice/internal/graph"
 )
@@ -29,6 +30,40 @@ func TestColoringAlphabetEnforced(t *testing.T) {
 	sol.Node[1] = 5
 	if err := Verify(Coloring{K: 3}, g, sol); err == nil {
 		t.Error("out-of-alphabet label accepted")
+	}
+}
+
+// TestVerifyLargeAlphabetCost runs Verify under Coloring{K: MaxDegree} on a
+// star, the shape a /v1/verify request for deltacolor can take. Alphabet
+// membership must cost O(1) per label: a linear scan of the alphabet makes
+// the K = leaves run about a thousand times slower than the K = 2 run on
+// the same star, while set lookups keep the two within a small factor.
+func TestVerifyLargeAlphabetCost(t *testing.T) {
+	const leaves = 50_000
+	g := graph.Star(leaves)
+	if g.MaxDegree() != leaves {
+		t.Fatalf("MaxDegree = %d, want %d", g.MaxDegree(), leaves)
+	}
+	fastest := func(k int) time.Duration {
+		sol := NewSolution(g)
+		sol.Node[0] = 1
+		for v := 1; v <= leaves; v++ {
+			sol.Node[v] = k // the last alphabet entry
+		}
+		best := time.Duration(1<<63 - 1)
+		for range 5 {
+			start := time.Now()
+			if err := Verify(Coloring{K: k}, g, sol); err != nil {
+				t.Fatalf("K=%d: proper coloring rejected: %v", k, err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := fastest(2), fastest(leaves)
+	if large > 50*small+10*time.Millisecond {
+		t.Errorf("Verify with K=%d took %v, K=2 took %v on the same star: alphabet membership is not O(1) per label",
+			leaves, large, small)
 	}
 }
 

@@ -58,7 +58,7 @@ func (c Coloring) CheckNode(g *graph.Graph, v int, sol *Solution) error {
 	}
 	for _, w := range g.Neighbors(v) {
 		if sol.Node[w] == lv {
-			return fmt.Errorf("nodes %d and %d share color %d", v, w, lv)
+			return violated("nodes %d and %d share color %d", v, w, lv)
 		}
 	}
 	return nil
@@ -82,7 +82,7 @@ func (MIS) CheckNode(g *graph.Graph, v int, sol *Solution) error {
 	if lv == 1 {
 		for _, w := range g.Neighbors(v) {
 			if sol.Node[w] == 1 {
-				return fmt.Errorf("adjacent nodes %d and %d both in the set", v, w)
+				return violated("adjacent nodes %d and %d both in the set", v, w)
 			}
 		}
 		return nil
@@ -101,7 +101,7 @@ func (MIS) CheckNode(g *graph.Graph, v int, sol *Solution) error {
 	if anyUnset {
 		return nil
 	}
-	return fmt.Errorf("node %d is out of the set with no in-set neighbor", v)
+	return violated("node %d is out of the set with no in-set neighbor", v)
 }
 
 // MaximalMatching is the maximal matching LCL: edge label 1 = matched,
@@ -127,7 +127,7 @@ func (MaximalMatching) CheckNode(g *graph.Graph, v int, sol *Solution) error {
 		}
 	}
 	if matched > 1 {
-		return fmt.Errorf("node %d has %d matched edges", v, matched)
+		return violated("node %d has %d matched edges", v, matched)
 	}
 	if matched == 1 || anyUnset {
 		return nil
@@ -148,7 +148,7 @@ func (MaximalMatching) CheckNode(g *graph.Graph, v int, sol *Solution) error {
 			}
 		}
 		if !wMatched && !wUnset {
-			return fmt.Errorf("edge {%d,%d} could be added to the matching", v, w)
+			return violated("edge {%d,%d} could be added to the matching", v, w)
 		}
 	}
 	return nil
@@ -179,7 +179,7 @@ func (SinklessOrientation) CheckNode(g *graph.Graph, v int, sol *Solution) error
 		return nil
 	}
 	if OutDegree(g, v, sol) == 0 {
-		return fmt.Errorf("node %d is a sink", v)
+		return violated("node %d is a sink", v)
 	}
 	return nil
 }
@@ -207,7 +207,7 @@ func (BalancedOrientation) CheckNode(g *graph.Graph, v int, sol *Solution) error
 		diff = -diff
 	}
 	if diff > 1 {
-		return fmt.Errorf("node %d has indegree %d, outdegree %d", v, in, out)
+		return violated("node %d has indegree %d, outdegree %d", v, in, out)
 	}
 	return nil
 }
@@ -224,16 +224,17 @@ func (c EdgeColoring) NodeAlphabet() []int { return nil }
 func (c EdgeColoring) EdgeAlphabet() []int { return alphabet(c.K) }
 
 func (c EdgeColoring) CheckNode(g *graph.Graph, v int, sol *Solution) error {
-	seen := make(map[int]int, g.Degree(v))
-	for _, e := range g.IncidentEdges(v) {
+	inc := g.IncidentEdges(v)
+	for i, e := range inc {
 		l := sol.Edge[e]
 		if l == Unset {
 			continue
 		}
-		if other, dup := seen[l]; dup {
-			return fmt.Errorf("edges %d and %d at node %d share color %d", other, e, v, l)
+		for _, other := range inc[:i] {
+			if sol.Edge[other] == l {
+				return violated("edges %d and %d at node %d share color %d", other, e, v, l)
+			}
 		}
-		seen[l] = e
 	}
 	return nil
 }
@@ -262,7 +263,7 @@ func (Splitting) CheckNode(g *graph.Graph, v int, sol *Solution) error {
 		}
 	}
 	if red != blue {
-		return fmt.Errorf("node %d has %d red and %d blue edges", v, red, blue)
+		return violated("node %d has %d red and %d blue edges", v, red, blue)
 	}
 	return nil
 }
@@ -294,5 +295,5 @@ func (c WeakColoring) CheckNode(g *graph.Graph, v int, sol *Solution) error {
 	if anyUnset {
 		return nil
 	}
-	return fmt.Errorf("node %d has all neighbors with its own label %d", v, sol.Node[v])
+	return violated("node %d has all neighbors with its own label %d", v, sol.Node[v])
 }

@@ -36,7 +36,7 @@ func (r RulingSet) CheckNode(g *graph.Graph, v int, sol *Solution) error {
 	if sol.Node[v] == 1 {
 		for _, w := range g.Neighbors(v) {
 			if sol.Node[w] == 1 {
-				return fmt.Errorf("adjacent ruling nodes %d and %d", v, w)
+				return violated("adjacent ruling nodes %d and %d", v, w)
 			}
 		}
 		return nil
@@ -55,5 +55,5 @@ func (r RulingSet) CheckNode(g *graph.Graph, v int, sol *Solution) error {
 	if anyUnset {
 		return nil
 	}
-	return fmt.Errorf("node %d has no ruling node within distance %d", v, r.Beta)
+	return violated("node %d has no ruling node within distance %d", v, r.Beta)
 }

@@ -1,8 +1,10 @@
 package lcl
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"localadvice/internal/graph"
 )
@@ -43,140 +45,195 @@ func SolveConstrained(p Problem, g *graph.Graph, partial *Solution, checkNodes [
 // steps linear-ish in the cluster size, while adversarially corrupted
 // advice can embed unsatisfiable subinstances whose exhaustive refutation
 // would be exponential.
+//
+// The search state lives in a pooled solver, so a call allocates only the
+// returned solution, the problem's alphabets (read once per call) and
+// whatever CheckNode allocates: one small error per rejected label for the
+// built-in problems.
 func SolveBudget(p Problem, g *graph.Graph, partial *Solution, checkNodes []int, maxSteps int) (*Solution, bool) {
-	sol := partial.Clone()
 	// Fast refutation of conflicts already present among the fixed labels:
 	// without this, a fixed-fixed violation would only surface at the final
 	// verification, after the whole search space was enumerated.
 	for _, v := range checkNodes {
-		if p.CheckNode(g, v, sol) != nil {
+		if p.CheckNode(g, v, partial) != nil {
 			return nil, false
 		}
 	}
-	type variable struct {
-		isEdge bool
-		index  int
+	s := solverPool.Get().(*solver)
+	defer s.release()
+	s.p, s.g, s.sol, s.checkNodes = p, g, partial.Clone(), checkNodes
+	s.nodeAlpha, s.edgeAlpha = p.NodeAlphabet(), p.EdgeAlphabet()
+	s.steps, s.maxSteps = 0, maxSteps
+	s.orderVars()
+	s.collectAffected()
+	if !s.search(0) {
+		return nil, false
 	}
-	var vars []variable
-	if p.NodeAlphabet() != nil {
-		order := make([]int, g.N())
-		for v := range order {
-			order[v] = v
+	return s.sol, true
+}
+
+// variable is one unset label: a node's or an edge's.
+type variable struct {
+	isEdge bool
+	index  int
+}
+
+// solver is SolveBudget's search state. Its slices are reused through
+// solverPool, so repeated completions (one per decoded node) stop
+// allocating search state once a solver has held its largest instance.
+type solver struct {
+	p                    Problem
+	g                    *graph.Graph
+	sol                  *Solution
+	checkNodes           []int
+	nodeAlpha, edgeAlpha []int
+	steps, maxSteps      int
+
+	vars    []variable
+	order   []int
+	isCheck []bool
+	bfs     graph.BFSScratch
+	// affected[start[i]:start[i+1]] are the check nodes within distance
+	// Radius of vars[i], ascending: the constraints a label of vars[i]
+	// can break.
+	affected []int
+	start    []int
+}
+
+var solverPool = sync.Pool{New: func() any { return new(solver) }}
+
+// release drops the solver's references to the caller's data and returns
+// it to the pool.
+func (s *solver) release() {
+	s.p, s.g, s.sol, s.checkNodes, s.nodeAlpha, s.edgeAlpha = nil, nil, nil, nil, nil, nil
+	solverPool.Put(s)
+}
+
+// orderVars lists the unset labels in search order: nodes by ID, then
+// edges by their sorted endpoint-ID pair.
+func (s *solver) orderVars() {
+	g := s.g
+	s.vars = s.vars[:0]
+	if s.nodeAlpha != nil {
+		s.order = s.order[:0]
+		for v := 0; v < g.N(); v++ {
+			s.order = append(s.order, v)
 		}
-		sort.Slice(order, func(a, b int) bool { return g.ID(order[a]) < g.ID(order[b]) })
-		for _, v := range order {
-			if sol.Node[v] == Unset {
-				vars = append(vars, variable{isEdge: false, index: v})
+		slices.SortFunc(s.order, func(a, b int) int { return cmp.Compare(g.ID(a), g.ID(b)) })
+		for _, v := range s.order {
+			if s.sol.Node[v] == Unset {
+				s.vars = append(s.vars, variable{isEdge: false, index: v})
 			}
 		}
 	}
-	if p.EdgeAlphabet() != nil {
-		order := make([]int, g.M())
-		for e := range order {
-			order[e] = e
+	if s.edgeAlpha != nil {
+		s.order = s.order[:0]
+		for e := 0; e < g.M(); e++ {
+			s.order = append(s.order, e)
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ea, eb := g.Edge(order[a]), g.Edge(order[b])
-			loA, hiA := sortedIDs(g, ea)
-			loB, hiB := sortedIDs(g, eb)
-			if loA != loB {
-				return loA < loB
+		slices.SortFunc(s.order, func(a, b int) int {
+			loA, hiA := sortedIDs(g, g.Edge(a))
+			loB, hiB := sortedIDs(g, g.Edge(b))
+			if c := cmp.Compare(loA, loB); c != 0 {
+				return c
 			}
-			return hiA < hiB
+			return cmp.Compare(hiA, hiB)
 		})
-		for _, e := range order {
-			if sol.Edge[e] == Unset {
-				vars = append(vars, variable{isEdge: true, index: e})
+		for _, e := range s.order {
+			if s.sol.Edge[e] == Unset {
+				s.vars = append(s.vars, variable{isEdge: true, index: e})
 			}
 		}
 	}
+}
 
-	check := make(map[int]bool, len(checkNodes))
-	for _, v := range checkNodes {
-		check[v] = true
+// collectAffected fills affected and start: for every variable, the check
+// nodes within distance Radius of the node or of either endpoint of the
+// edge.
+func (s *solver) collectAffected() {
+	g, n, r := s.g, s.g.N(), s.p.Radius()
+	s.isCheck = slices.Grow(s.isCheck[:0], n)[:n]
+	clear(s.isCheck)
+	for _, v := range s.checkNodes {
+		s.isCheck[v] = true
 	}
-
-	r := p.Radius()
-	// Check nodes whose constraint may be affected by a variable:
-	// everything within distance r of the variable's location.
-	affected := make([][]int, len(vars))
-	for i, va := range vars {
-		seen := map[int]bool{}
+	s.affected = s.affected[:0]
+	s.start = append(s.start[:0], 0)
+	for _, va := range s.vars {
+		s.bfs.Begin(n)
 		if va.isEdge {
-			ed := g.Edge(va.index)
-			for _, v := range g.Ball(ed.U, r) {
-				seen[v] = true
-			}
-			for _, v := range g.Ball(ed.V, r) {
-				seen[v] = true
-			}
+			e := g.Edge(va.index)
+			s.bfs.Visit(e.U, 0)
+			s.bfs.Visit(e.V, 0)
 		} else {
-			for _, v := range g.Ball(va.index, r) {
-				seen[v] = true
+			s.bfs.Visit(va.index, 0)
+		}
+		// Bounded BFS over the adjacency lists; a CSR snapshot would cost
+		// an allocation per graph, and the graphs here are small and often
+		// built for a single call.
+		for head := 0; head < len(s.bfs.Order()); head++ {
+			u := int(s.bfs.Order()[head])
+			d := s.bfs.Dist(u)
+			if d >= r {
+				continue
+			}
+			for _, w := range g.Neighbors(u) {
+				if !s.bfs.Visited(w) {
+					s.bfs.Visit(w, d+1)
+				}
 			}
 		}
-		for v := range seen {
-			if check[v] {
-				affected[i] = append(affected[i], v)
+		from := len(s.affected)
+		for _, u := range s.bfs.Order() {
+			if s.isCheck[u] {
+				s.affected = append(s.affected, int(u))
 			}
 		}
-		sort.Ints(affected[i])
+		slices.Sort(s.affected[from:])
+		s.start = append(s.start, len(s.affected))
 	}
+}
 
-	verify := func() bool {
-		for _, v := range checkNodes {
-			if p.CheckNode(g, v, sol) != nil {
+// search assigns vars[i:] by backtracking in alphabet order and reports
+// whether it reached a solution that satisfies every check node within the
+// step budget. Every label assignment counts one step.
+func (s *solver) search(i int) bool {
+	if i == len(s.vars) {
+		for _, v := range s.checkNodes {
+			if s.p.CheckNode(s.g, v, s.sol) != nil {
 				return false
 			}
 		}
 		return true
 	}
+	va := s.vars[i]
+	domain, slot := s.nodeAlpha, &s.sol.Node
+	if va.isEdge {
+		domain, slot = s.edgeAlpha, &s.sol.Edge
+	}
+	for _, label := range domain {
+		s.steps++
+		if s.maxSteps > 0 && s.steps > s.maxSteps {
+			return false
+		}
+		(*slot)[va.index] = label
+		if s.consistent(i) && s.search(i+1) {
+			return true
+		}
+	}
+	(*slot)[va.index] = Unset
+	return false
+}
 
-	steps := 0
-	var backtrack func(i int) bool
-	backtrack = func(i int) bool {
-		if i == len(vars) {
-			return verify()
+// consistent reports whether every check node a label of vars[i] can
+// affect still accepts.
+func (s *solver) consistent(i int) bool {
+	for _, v := range s.affected[s.start[i]:s.start[i+1]] {
+		if s.p.CheckNode(s.g, v, s.sol) != nil {
+			return false
 		}
-		va := vars[i]
-		var domain []int
-		if va.isEdge {
-			domain = p.EdgeAlphabet()
-		} else {
-			domain = p.NodeAlphabet()
-		}
-		for _, label := range domain {
-			steps++
-			if maxSteps > 0 && steps > maxSteps {
-				return false
-			}
-			if va.isEdge {
-				sol.Edge[va.index] = label
-			} else {
-				sol.Node[va.index] = label
-			}
-			ok := true
-			for _, v := range affected[i] {
-				if p.CheckNode(g, v, sol) != nil {
-					ok = false
-					break
-				}
-			}
-			if ok && backtrack(i+1) {
-				return true
-			}
-		}
-		if va.isEdge {
-			sol.Edge[va.index] = Unset
-		} else {
-			sol.Node[va.index] = Unset
-		}
-		return false
 	}
-	if !backtrack(0) {
-		return nil, false
-	}
-	return sol, true
+	return true
 }
 
 func sortedIDs(g *graph.Graph, e graph.Edge) (lo, hi int64) {

@@ -23,14 +23,14 @@ type Summary struct {
 	LogicalMessages int64            `json:"logical_messages,omitempty"`
 	LogicalBytes    int64            `json:"logical_bytes,omitempty"`
 	MaxActive       int              `json:"max_active_nodes"`
-	WallNanos     int64            `json:"wall_nanos"`
-	RoundP50Nanos int64            `json:"round_p50_nanos"`
-	RoundP95Nanos int64            `json:"round_p95_nanos"`
-	RoundMaxNanos int64            `json:"round_max_nanos"`
-	MsgsPerSec    float64          `json:"msgs_per_sec"`
-	AllocBytes    uint64           `json:"alloc_bytes"`
-	Mallocs       uint64           `json:"mallocs"`
-	EventTotals   map[string]int64 `json:"event_totals,omitempty"`
+	WallNanos       int64            `json:"wall_nanos"`
+	RoundP50Nanos   int64            `json:"round_p50_nanos"`
+	RoundP95Nanos   int64            `json:"round_p95_nanos"`
+	RoundMaxNanos   int64            `json:"round_max_nanos"`
+	MsgsPerSec      float64          `json:"msgs_per_sec"`
+	AllocBytes      uint64           `json:"alloc_bytes"`
+	Mallocs         uint64           `json:"mallocs"`
+	EventTotals     map[string]int64 `json:"event_totals,omitempty"`
 }
 
 // Summary aggregates everything recorded so far. The round-latency

@@ -57,13 +57,7 @@ func TestBinaryTableMatchesCompiled(t *testing.T) {
 	for v := range advice {
 		advice[v] = bitstr.New(v % 2)
 	}
-	algo := func(view *local.View) any {
-		if view.Advice[view.Center].Bit(0) == 1 {
-			return 1
-		}
-		return 2
-	}
-	table, err := Compile(algo, 0, []*graph.Graph{g}, []local.Advice{advice})
+	table, err := Compile(misAlgo, 0, []*graph.Graph{g}, []local.Advice{advice})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,13 @@
 package eth
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/graph"
@@ -37,45 +40,97 @@ import (
 // they are isomorphic as advice-labeled graphs with the same relative ID
 // order and the same center. An order-invariant algorithm is exactly a
 // function of this fingerprint.
+//
+// The fingerprint bytes are a persisted contract: every text and ETB1 table
+// in a persist store is keyed by them, so a changed byte would make every
+// stored table miss. The format is
+//
+//	n=<n>;center=<rank>;e<a>,<b>;...v<rank>:<advice>:<true degree>:<dist>;...
+//
+// with one e-item per edge as its sorted rank pair, the pairs in increasing
+// order, and one v-item per node in rank order.
 func CanonicalizeView(view *local.View) string {
-	n := view.G.N()
-	// Rank nodes by ID.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	sc := canonPool.Get().(*canonScratch)
+	defer canonPool.Put(sc)
+	return string(sc.key(view))
+}
+
+// canonScratch is the reusable working state of one fingerprint rendering:
+// the rank order, the rank of each node, the edges as rank pairs, and the
+// byte buffer the key is written into. The slices size themselves to the
+// largest view seen, so a worker rendering view after view stops
+// allocating. A canonScratch is not safe for concurrent use; callers take
+// one from canonPool per view and return it when done with the key.
+type canonScratch struct {
+	order []int
+	rank  []int
+	pairs []rankPair
+	buf   []byte
+}
+
+// rankPair is an edge as the ranks of its endpoints, a < b.
+type rankPair struct{ a, b int }
+
+var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
+
+// key renders view's fingerprint into sc.buf and returns it; the bytes are
+// valid until sc's next key call.
+func (sc *canonScratch) key(view *local.View) []byte {
+	g := view.G
+	n := g.N()
+	// Rank nodes by ID (IDs within a graph are distinct, so the order is
+	// total and does not depend on the sort algorithm).
+	sc.order = slices.Grow(sc.order[:0], n)[:n]
+	for i := range sc.order {
+		sc.order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return view.G.ID(order[a]) < view.G.ID(order[b]) })
-	rank := make([]int, n)
-	for r, v := range order {
-		rank[v] = r
+	slices.SortFunc(sc.order, func(a, b int) int { return cmp.Compare(g.ID(a), g.ID(b)) })
+	sc.rank = slices.Grow(sc.rank[:0], n)[:n]
+	for r, v := range sc.order {
+		sc.rank[v] = r
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d;center=%d;", n, rank[view.Center])
 	// Edges as sorted rank pairs.
-	type pair struct{ a, b int }
-	pairs := make([]pair, 0, view.G.M())
-	for _, e := range view.G.Edges() {
-		a, bb := rank[e.U], rank[e.V]
-		if a > bb {
-			a, bb = bb, a
+	sc.pairs = sc.pairs[:0]
+	for _, e := range g.Edges() {
+		a, b := sc.rank[e.U], sc.rank[e.V]
+		if a > b {
+			a, b = b, a
 		}
-		pairs = append(pairs, pair{a, bb})
+		sc.pairs = append(sc.pairs, rankPair{a, b})
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
+	slices.SortFunc(sc.pairs, func(p, q rankPair) int {
+		return cmp.Or(cmp.Compare(p.a, q.a), cmp.Compare(p.b, q.b))
 	})
-	for _, p := range pairs {
-		fmt.Fprintf(&b, "e%d,%d;", p.a, p.b)
+
+	b := append(sc.buf[:0], "n="...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, ";center="...)
+	b = strconv.AppendInt(b, int64(sc.rank[view.Center]), 10)
+	b = append(b, ';')
+	for _, p := range sc.pairs {
+		b = append(b, 'e')
+		b = strconv.AppendInt(b, int64(p.a), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.b), 10)
+		b = append(b, ';')
 	}
 	// Per-rank metadata: advice, true degree, distance from center.
-	for r := 0; r < n; r++ {
-		v := order[r]
-		fmt.Fprintf(&b, "v%d:%s:%d:%d;", r, view.Advice[v], view.TrueDegree[v], view.Dist[v])
+	for r, v := range sc.order {
+		b = append(b, 'v')
+		b = strconv.AppendInt(b, int64(r), 10)
+		b = append(b, ':')
+		adv := view.Advice[v]
+		for i := 0; i < adv.Len(); i++ {
+			b = append(b, '0'+byte(adv.Bit(i)))
+		}
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(view.TrueDegree[v]), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(view.Dist[v]), 10)
+		b = append(b, ';')
 	}
-	return b.String()
+	sc.buf = b
+	return b
 }
 
 // CheckOrderInvariant runs algo on g (with the given advice and radius),
@@ -115,16 +170,32 @@ type Table struct {
 // the given graphs. Querying a view not seen during compilation is an
 // error, which keeps the table honest: it is only as general as its
 // training family.
+//
+// The views are built by the ball engine (local.RunBall), the same one
+// Table.Run uses, so algo runs on its workers: it must be a pure function
+// of the view, may be called concurrently, and must not keep the view
+// (see local.BallAlgorithm). The per-node results are merged in graph and
+// node order, so the conflict or unserializable output reported is the
+// first one in that order. Advice that does not cover its graph and a
+// negative radius are RunBall's errors (wrapping local.ErrAdviceLength and
+// local.ErrNegativeRadius), returned with the graph's index.
 func Compile(algo local.BallAlgorithm, radius int, graphs []*graph.Graph, advices []local.Advice) (*Table, error) {
 	if len(graphs) != len(advices) {
 		return nil, fmt.Errorf("eth: %d graphs but %d advice assignments", len(graphs), len(advices))
 	}
+	keyed := func(view *local.View) any {
+		sc := canonPool.Get().(*canonScratch)
+		defer canonPool.Put(sc)
+		return compiledNode{key: string(sc.key(view)), out: algo(view)}
+	}
 	t := &Table{Radius: radius, Entries: make(map[string]any)}
 	for i, g := range graphs {
-		for v := 0; v < g.N(); v++ {
-			view := local.BuildView(g, advices[i], v, radius)
-			key := CanonicalizeView(view)
-			out := algo(view)
+		results, _, err := local.RunBall(g, advices[i], radius, keyed, local.RunConfig{})
+		if err != nil {
+			return nil, fmt.Errorf("eth: graph %d: %w", i, err)
+		}
+		for v, res := range results {
+			key, out := res.(compiledNode).key, res.(compiledNode).out
 			if prev, ok := t.Entries[key]; ok && prev != out {
 				return nil, fmt.Errorf("eth: algorithm is not order-invariant: key %q maps to both %v and %v", key, prev, out)
 			}
@@ -139,6 +210,13 @@ func Compile(algo local.BallAlgorithm, radius int, graphs []*graph.Graph, advice
 		}
 	}
 	return t, nil
+}
+
+// compiledNode is one node's result during Compile: its view's fingerprint
+// and algo's output on that view.
+type compiledNode struct {
+	key string
+	out any
 }
 
 // checkTextSerializable rejects outputs whose natural text rendering would
@@ -162,16 +240,7 @@ func checkTextSerializable(out any) error {
 
 // Run executes the compiled table as a ball algorithm.
 func (t *Table) Run(g *graph.Graph, advice local.Advice) ([]any, local.Stats, error) {
-	// Missing-entry errors are returned as per-node outputs (not captured
-	// state): the ball algorithm must stay a pure function of the view now
-	// that RunBall fans out over workers.
-	outputs, stats, err := local.RunBall(g, advice, t.Radius, func(view *local.View) any {
-		out, ok := t.Entries[CanonicalizeView(view)]
-		if !ok {
-			return fmt.Errorf("eth: view %q not in table", CanonicalizeView(view))
-		}
-		return out
-	}, local.RunConfig{})
+	outputs, stats, err := local.RunBall(g, advice, t.Radius, t.lookup, local.RunConfig{})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -181,6 +250,22 @@ func (t *Table) Run(g *graph.Graph, advice local.Advice) ([]any, local.Stats, er
 		}
 	}
 	return outputs, stats, nil
+}
+
+// lookup is Run's ball algorithm: the table's output for the view, or an
+// error naming a view the table does not hold. The error is the node's
+// output rather than captured state, so lookup stays a pure function of the
+// view on RunBall's workers. The fingerprint is rendered into pooled
+// scratch and looked up without being copied, so a hit allocates nothing.
+func (t *Table) lookup(view *local.View) any {
+	sc := canonPool.Get().(*canonScratch)
+	defer canonPool.Put(sc)
+	key := sc.key(view)
+	out, ok := t.Entries[string(key)]
+	if !ok {
+		return fmt.Errorf("eth: view %q not in table", key)
+	}
+	return out
 }
 
 // Decoder is the advice decoder the brute-force search drives: given the

@@ -1,7 +1,9 @@
 package eth
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"localadvice/internal/bitstr"
@@ -26,6 +28,28 @@ func rankAlgo(view *local.View) any {
 		}
 	}
 	return rank
+}
+
+// misAlgo is the serving layer's order-invariant 0-round MIS decoder: the
+// advice bit is the set-membership indicator (label 1 = in the set, 2 =
+// out).
+func misAlgo(view *local.View) any {
+	if view.Advice[view.Center].Bit(0) == 1 {
+		return 1
+	}
+	return 2
+}
+
+// misAdvice is the serving layer's MIS advice for a path or an even cycle
+// with IDs in node order: its greedy encoder, taking nodes in ID order,
+// picks every other node from node 0, so node v holds bit 1 exactly when v
+// is even.
+func misAdvice(g *graph.Graph) local.Advice {
+	advice := make(local.Advice, g.N())
+	for v := range advice {
+		advice[v] = bitstr.New(1 - v%2)
+	}
+	return advice
 }
 
 func TestCheckOrderInvariant(t *testing.T) {
@@ -145,6 +169,19 @@ func TestCompileRejectsNonInvariantAlgo(t *testing.T) {
 	}
 	if _, err := Compile(idAlgo, 1, []*graph.Graph{g1, g2}, []local.Advice{empty(g1), empty(g2)}); err == nil {
 		t.Error("non-order-invariant algorithm compiled cleanly")
+	}
+}
+
+// TestCompileRejectsShortAdvice: advice that does not cover its graph is a
+// returned error naming the graph, as in Table.Run, not a panic.
+func TestCompileRejectsShortAdvice(t *testing.T) {
+	ok, short := graph.Cycle(6), graph.Cycle(8)
+	_, err := Compile(parityAlgo, 1, []*graph.Graph{ok, short}, []local.Advice{misAdvice(ok), misAdvice(ok)[:5]})
+	if !errors.Is(err, local.ErrAdviceLength) {
+		t.Fatalf("err = %v, want one wrapping local.ErrAdviceLength", err)
+	}
+	if !strings.Contains(err.Error(), "graph 1") {
+		t.Errorf("err = %v, want it to name graph 1", err)
 	}
 }
 

@@ -275,6 +275,7 @@ func (b *ViewBuilder) fill(view *View, g *graph.Graph, advice Advice, v, radius 
 //
 // A negative radius (an error wrapping ErrNegativeRadius) and malformed
 // advice (wrapping ErrAdviceLength) are reported before the engine starts.
+// A panic in algo reaches the caller's goroutine at any worker count.
 // When cfg.Fault is active, advice corruption and ID reassignment are
 // applied first, and a node crashed within the decoding radius produces no
 // output — its output slot holds a fault.CrashError. The ball engine has no
@@ -350,12 +351,26 @@ func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg 
 		return outputs, Stats{Rounds: radius}, nil
 	}
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next      atomic.Int64
+		wg        sync.WaitGroup
+		panicOnce sync.Once
+		panicked  any
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// A panic in algo is recovered here and re-raised on the
+			// caller's goroutine once every worker has stopped, as it
+			// would be with one worker, so a caller's recover still sees
+			// it; the other workers stop at their next node.
+			defer func() {
+				if p := recover(); p != nil {
+					panicOnce.Do(func() { panicked = p })
+					next.Store(int64(n))
+				}
+			}()
 			var shardStart time.Time
 			if m.Enabled() {
 				shardStart = time.Now()
@@ -375,6 +390,9 @@ func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg 
 		}(w)
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	finish()
 	return outputs, Stats{Rounds: radius}, nil
 }

@@ -197,6 +197,30 @@ func TestAdviceLengthValidation(t *testing.T) {
 	BuildView(g, make(Advice, g.N()), 0, 1)
 }
 
+// TestRunBallPanicReachesCaller: a panic in the ball algorithm is raised on
+// the caller's goroutine at every worker count, so the caller's recover sees
+// the algorithm's own panic value, as it would with one worker.
+func TestRunBallPanicReachesCaller(t *testing.T) {
+	g := graph.Cycle(300)
+	boom := errors.New("algorithm panic")
+	algo := func(view *View) any {
+		if view.G.ID(view.Center) == 151 {
+			panic(boom)
+		}
+		return 0
+	}
+	for _, workers := range []int{1, 2, 8} {
+		func() {
+			defer func() {
+				if p := recover(); p != boom {
+					t.Errorf("%d workers: recovered %v, want the algorithm's panic value", workers, p)
+				}
+			}()
+			RunBall(g, nil, 1, algo, RunConfig{Workers: workers})
+		}()
+	}
+}
+
 // TestRunBallLargeGraphDefaultParallel exercises the default engine above
 // the parallel threshold against an explicit single worker.
 func TestRunBallLargeGraphDefaultParallel(t *testing.T) {

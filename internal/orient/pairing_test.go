@@ -64,9 +64,12 @@ func TestPartnerAtMatchesSortedPairing(t *testing.T) {
 }
 
 // TestDecodeVarBallAllocsPerNode bounds the allocations of one ball-engine
-// decode of Moser–Tardos advice on cycle-1024 at one worker. A failure
-// prints the count of a decoder that sorts the incident list on every walk
-// step and builds a fresh view per node.
+// decode of Moser–Tardos advice on cycle-1024 at one worker. What remains
+// per node is the returned edge-claim slice and its boxing; the bound
+// leaves room for scratch refills after a GC empties the pools. A failure
+// prints the counts of a decoder that allocates its trail walks and of one
+// that also sorts the incident list on every walk step and builds a fresh
+// view per node.
 func TestDecodeVarBallAllocsPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomizes sync.Pool retention; allocation counts are not reproducible")
@@ -85,8 +88,8 @@ func TestDecodeVarBallAllocsPerNode(t *testing.T) {
 	decode()
 	perNode := testing.AllocsPerRun(5, decode) / float64(g.N())
 	t.Logf("%.2f allocations per node, %.0f per decode", perNode, perNode*float64(g.N()))
-	const bound = 15
+	const bound = 3
 	if perNode > bound {
-		t.Errorf("%.2f allocations per node, want at most %d (sorting partner lookup and fresh views: 385 per node, 394,249 per decode)", perNode, bound)
+		t.Errorf("%.2f allocations per node, want at most %d (allocated trail walks: 14.01 per node; with sorting partner lookup and fresh views: 385 per node, 394,249 per decode)", perNode, bound)
 	}
 }

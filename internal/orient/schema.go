@@ -3,6 +3,7 @@ package orient
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/core"
@@ -251,9 +252,11 @@ func (s Schema) assemble(g *graph.Graph, outputs []any, stats local.Stats) (*lcl
 func (s Schema) decodeNode(view *local.View) ([]edgeDir, error) {
 	vg := view.G
 	c := view.Center
+	sc := walkPool.Get().(*walkScratch)
+	defer walkPool.Put(sc)
 	dirs := make([]edgeDir, 0, vg.Degree(c))
 	for _, e := range vg.IncidentEdges(c) {
-		out, err := s.decodeEdge(view, e)
+		out, err := s.decodeEdge(view, e, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -262,26 +265,41 @@ func (s Schema) decodeNode(view *local.View) ([]edgeDir, error) {
 	return dirs, nil
 }
 
+// walkScratch holds the trail segments of one edge decode: the forward
+// walk, the backward walk and the two merged into one segment. A worker
+// decoding view after view reuses one from walkPool, so the walks stop
+// allocating once it has held its longest segment. Nothing a decode
+// returns refers to it, and it is not safe for concurrent use.
+type walkScratch struct {
+	fNodes, fEdges []int
+	bNodes, bEdges []int
+	nodes, edges   []int
+}
+
+var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}
+
 // decodeEdge decides whether the center's edge e points away from the
-// center.
-func (s Schema) decodeEdge(view *local.View, e int) (bool, error) {
+// center, walking the trail segments into sc.
+func (s Schema) decodeEdge(view *local.View, e int, sc *walkScratch) (bool, error) {
 	vg := view.G
 	c := view.Center
 	w := s.P.walkBudget()
 
-	fNodes, fEdges, wrapped := Walk(vg, c, e, w)
+	fNodes, fEdges, wrapped := walk(vg, c, e, w, sc.fNodes, sc.fEdges)
+	sc.fNodes, sc.fEdges = fNodes, fEdges
 	var bNodes, bEdges []int
 	backEdge := partnerAt(vg, c, e)
 	atStart := backEdge == -1
 	if !wrapped && !atStart {
-		bNodes, bEdges, _ = Walk(vg, c, backEdge, w)
+		bNodes, bEdges, _ = walk(vg, c, backEdge, w, sc.bNodes, sc.bEdges)
+		sc.bNodes, sc.bEdges = bNodes, bEdges
 	}
 
 	// Combined trail segment: positions run backward-walk-reversed, then
 	// center, then forward walk. Edge e sits between the center and the
 	// next forward node.
-	nodes := make([]int, 0, len(bNodes)+len(fNodes))
-	edges := make([]int, 0, len(bEdges)+len(fEdges))
+	nodes := sc.nodes[:0]
+	edges := sc.edges[:0]
 	for i := len(bNodes) - 1; i >= 1; i-- {
 		nodes = append(nodes, bNodes[i])
 	}
@@ -291,6 +309,7 @@ func (s Schema) decodeEdge(view *local.View, e int) (bool, error) {
 	centerPos := len(nodes)
 	nodes = append(nodes, fNodes...)
 	edges = append(edges, fEdges...)
+	sc.nodes, sc.edges = nodes, edges
 	ePos := centerPos // edges[centerPos] == e
 
 	backAtEnd := !wrapped && (atStart || partnerEnds(vg, bNodes, bEdges))

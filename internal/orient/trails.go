@@ -190,8 +190,14 @@ func CanonicalDirection(g *graph.Graph, t *Trail) bool {
 // with complete neighborhoods agree with the host graph's.
 func Walk(g *graph.Graph, startNode, firstEdge, maxSteps int) (nodes, edges []int, wrapped bool) {
 	size := max(maxSteps, 0) + 1 // a walk visits at most maxSteps+1 nodes
-	nodes = append(make([]int, 0, size), startNode)
-	edges = make([]int, 0, size)
+	return walk(g, startNode, firstEdge, maxSteps, make([]int, 0, size), make([]int, 0, size))
+}
+
+// walk is Walk writing the visited nodes and edges into the given buffers
+// (from their start, growing them as needed) and returning them.
+func walk(g *graph.Graph, startNode, firstEdge, maxSteps int, nodes, edges []int) ([]int, []int, bool) {
+	nodes = append(nodes[:0], startNode)
+	edges = edges[:0]
 	cur, curEdge := startNode, firstEdge
 	for step := 0; step < maxSteps; step++ {
 		next := g.Other(curEdge, cur)

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"encoding/binary"
 	"net/http"
 	"strings"
 	"testing"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/local"
+	"localadvice/internal/persist"
 )
 
 // TestBatchExtRoundTrip exercises the extended binary batch protocol — the
@@ -184,6 +186,50 @@ func TestArtifactImportRejectsCorruptFrame(t *testing.T) {
 	if n := shardStats0(t, b).Cache.Entries; n != 0 {
 		t.Errorf("corrupt imports left %d cache entries behind", n)
 	}
+}
+
+// TestExportRejectsMisShapedImportedAdvice: an import frame may carry mis
+// advice of any shape, since the importer has no graph to check it against.
+// An export that then compiles the table from 0-bit advice on cycle-300 must
+// answer 422 corrupt_advice. At two engine workers the compile runs on the
+// ball engine's goroutines, where a decoder panic would bypass the request
+// goroutine's recover and stop the process.
+func TestExportRejectsMisShapedImportedAdvice(t *testing.T) {
+	local.SetDefaultWorkers(2)
+	defer local.SetDefaultWorkers(0)
+	s := newTestServer(t, Config{})
+	spec := GraphSpec{Family: "cycle", N: 300, Seed: 3}
+	cg, _, err := s.resolveGraph(spec, true, "export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := s.schemas["mis"]
+	key := adviceKey(sc, cg)
+	payload := persist.EncodeAdvice(make(local.Advice, cg.g.N()))
+
+	frame := []byte(artifactMagic)
+	frame = binary.LittleEndian.AppendUint16(frame, artifactVersion)
+	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(sc.Name)))
+	frame = append(frame, sc.Name...)
+	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(cg.digest)))
+	frame = append(frame, cg.digest...)
+	frame = append(frame, 1, artifactAdvice)
+	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(key)))
+	frame = append(frame, key...)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = append(frame, payload...)
+	if w := doBin(t, s, "/v1/artifacts/import", frame); w.Code != http.StatusOK {
+		t.Fatalf("import: %d: %s", w.Code, w.Body)
+	}
+
+	w := doReq(t, s, "POST", "/v1/artifacts/export", `{"schema":"mis","graph":{"family":"cycle","n":300,"seed":3}}`)
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("export over 0-bit advice: want 422, got %d: %s", w.Code, w.Body)
+	}
+	if code := errCode(t, w.Body.String()); code != "corrupt_advice" {
+		t.Errorf("export over 0-bit advice: want code corrupt_advice, got %q", code)
+	}
+	assertNoLeak(t, w.Body.String())
 }
 
 // shardEngineComputes reads a server's engine-compute counter via its own

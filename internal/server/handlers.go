@@ -359,6 +359,15 @@ func (s *Server) resolveTable(sc *schemaEntry, cg *cachedGraph, advice local.Adv
 				return table, tableSize(table), nil
 			}
 		}
+		// The advice may be an imported record no decode has checked
+		// (export compiles without decoding), and the compiled decoder
+		// reads it on the ball engine's workers, beyond the request's
+		// recover.
+		if sc.ValidateAdvice != nil {
+			if err := sc.ValidateAdvice(cg.g, advice); err != nil {
+				return nil, 0, err
+			}
+		}
 		s.engineComputes.Add(1)
 		compileStart := time.Now()
 		table, err := sc.Compile(cg.g, advice)

@@ -139,6 +139,12 @@ func misEncode(g *graph.Graph) (local.Advice, error) {
 		order[v] = v
 	}
 	sort.Slice(order, func(a, b int) bool { return g.ID(order[a]) < g.ID(order[b]) })
+	return greedyMIS(g, order), nil
+}
+
+// greedyMIS is the indicator, 1 bit per node, of the greedy maximal
+// independent set that takes the nodes in the given order.
+func greedyMIS(g *graph.Graph, order []int) local.Advice {
 	in := make([]bool, g.N())
 	blocked := make([]bool, g.N())
 	for _, v := range order {
@@ -158,7 +164,7 @@ func misEncode(g *graph.Graph) (local.Advice, error) {
 		}
 		advice[v] = bitstr.New(bit)
 	}
-	return advice, nil
+	return advice
 }
 
 // misValidate enforces the 1-bit-per-node shape the 0-round decoder needs.

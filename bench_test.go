@@ -222,7 +222,7 @@ func BenchmarkBuildView(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		view := local.BuildView(g, advice, 450, 6)
-		if view.G.N() == 0 {
+		if view.Materialize().G.N() == 0 {
 			b.Fatal("empty view")
 		}
 	}
@@ -232,7 +232,7 @@ func BenchmarkMessageEngine(b *testing.B) {
 	// local.Run is the sharded scheduler; BenchmarkEngineSequential tracks
 	// the sequential oracle on the same shape of workload.
 	g := graph.Grid2D(10, 10)
-	proto := &local.GatherProtocol{Radius: 2, Decide: func(view *local.View) any { return view.G.N() }}
+	proto := &local.GatherProtocol{Radius: 2, Decide: func(view *local.View) any { return len(view.Nodes()) }}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := local.Run(g, proto, nil, local.RunConfig{}); err != nil {
@@ -501,7 +501,7 @@ func BenchmarkRunBallParallel(b *testing.B) {
 	for v := range advice {
 		advice[v] = bitstr.New(v % 2)
 	}
-	count := func(view *local.View) any { return view.G.N() }
+	count := func(view *local.View) any { return len(view.Nodes()) }
 	for _, workers := range []int{1, 2, 4, 8, 0} {
 		name := fmt.Sprintf("workers=%d", workers)
 		if workers == 0 {
@@ -535,7 +535,7 @@ func BenchmarkBuildView4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		view := local.BuildView(g, advice, 2080, 6)
-		if view.G.N() == 0 {
+		if view.Materialize().G.N() == 0 {
 			b.Fatal("empty view")
 		}
 	}
@@ -695,7 +695,7 @@ func BenchmarkDecompose4096(b *testing.B) {
 
 func BenchmarkEngineSequential(b *testing.B) {
 	g := graph.Grid2D(12, 12)
-	proto := &local.GatherProtocol{Radius: 2, Decide: func(view *local.View) any { return view.G.N() }}
+	proto := &local.GatherProtocol{Radius: 2, Decide: func(view *local.View) any { return len(view.Nodes()) }}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := local.RunSequential(g, proto, nil, local.RunConfig{}); err != nil {

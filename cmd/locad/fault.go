@@ -86,7 +86,7 @@ func runCrash(gg *graph.Graph, node, round, radius int, engine string, workers i
 		Workers: workers,
 		Fault:   &fault.Plan{CrashNode: node, CrashRound: round},
 	}
-	outputs, stats, err := local.RunDecider(engine, gg, nil, radius, viewSize, cfg)
+	outputs, stats, err := local.RunDecider(engine, gg, nil, radius, local.ViewSize, cfg)
 	if err != nil {
 		return err
 	}

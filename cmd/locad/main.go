@@ -420,11 +420,6 @@ func engineFlag(fs *flag.FlagSet, usage string) *string {
 	return fs.String("engine", "scheduler", usage+": "+strings.Join(local.EngineNames(), ", "))
 }
 
-// viewSize is the decide function of the engine, trace and fault
-// subcommands' reference workload: a pure function of the radius-T view, so
-// every engine computes the same per-node value.
-func viewSize(view *local.View) any { return view.G.N()*1_000_000 + view.G.M() }
-
 // cmdEngine runs the radius-T view-gathering reference protocol — the
 // workload the engine-equivalence tests pin — on a selectable execution
 // engine, for message-engine experiments and worker-count sweeps. All
@@ -446,7 +441,7 @@ func cmdEngine(args []string) error {
 	}
 
 	start := time.Now()
-	outputs, stats, err := local.RunDecider(*engine, g, nil, *radius, viewSize, local.RunConfig{Workers: w})
+	outputs, stats, err := local.RunDecider(*engine, g, nil, *radius, local.ViewSize, local.RunConfig{Workers: w})
 	if err != nil {
 		return err
 	}

@@ -45,7 +45,7 @@ func cmdTrace(args []string) error {
 
 	c := &obs.Collector{}
 	c.Start()
-	_, stats, err := local.RunDecider(*engine, g, nil, *radius, viewSize, local.RunConfig{Workers: w, Metrics: c})
+	_, stats, err := local.RunDecider(*engine, g, nil, *radius, local.ViewSize, local.RunConfig{Workers: w, Metrics: c})
 	if err != nil {
 		return err
 	}

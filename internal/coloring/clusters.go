@@ -243,8 +243,11 @@ func (c ClusterColoringStage) DecodeVar(g *graph.Graph, va core.VarAdvice, _ []*
 }
 
 // decodeNode computes the center's combined (cluster color, inner color)
-// color from its view.
-func (c ClusterColoringStage) decodeNode(view *local.View, delta int) any {
+// color from its view. It reads the whole ball (every center within
+// 2*CoverRadius and a BFS from each candidate member), so it materializes
+// the view first.
+func (c ClusterColoringStage) decodeNode(lazy *local.View, delta int) any {
+	view := lazy.Materialize()
 	vg := view.G
 	// Centers = advice holders. All centers within 2*CoverRadius are
 	// visible, which suffices to settle cluster membership for every node
@@ -291,7 +294,7 @@ func (c ClusterColoringStage) decodeNode(view *local.View, delta int) any {
 
 // ownCluster returns the index (into centers) of the viewing node's
 // cluster, or -1.
-func (c ClusterColoringStage) ownCluster(view *local.View, centers []int) int {
+func (c ClusterColoringStage) ownCluster(view *local.Ball, centers []int) int {
 	return c.nearestCenter(view.G, view.Center, centers)
 }
 

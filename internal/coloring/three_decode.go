@@ -51,7 +51,6 @@ func (t ThreeColoring) assembleColors(stats local.Stats, g *graph.Graph, outputs
 
 // decodeNode computes the center's color from its radius-R view.
 func (t ThreeColoring) decodeNode(view *local.View) any {
-	vg := view.G
 	r := t.DecodeRadius()
 
 	bitOne := func(i int) bool { return view.Advice[i].Bit(0) == 1 }
@@ -62,7 +61,7 @@ func (t ThreeColoring) decodeNode(view *local.View) any {
 			return false
 		}
 		ones := 0
-		for _, w := range vg.Neighbors(i) {
+		for _, w := range view.Neighbors(i) {
 			if bitOne(w) {
 				ones++
 			}
@@ -89,7 +88,7 @@ func (t ThreeColoring) decodeNode(view *local.View) any {
 			sawLimit = true
 			continue
 		}
-		for _, w := range vg.Neighbors(u) {
+		for _, w := range view.Neighbors(u) {
 			if _, seen := compDist[w]; seen || isColor1(w) {
 				continue
 			}
@@ -109,16 +108,16 @@ func (t ThreeColoring) decodeNode(view *local.View) any {
 
 	if !sawLimit && len(markedNodes) == 0 {
 		// Small component, fully visible, no groups: canonical 2-coloring.
-		return t.canonicalColor(vg, compDist, c)
+		return t.canonicalColor(view, compDist, c)
 	}
 	if len(markedNodes) == 0 {
 		return fmt.Errorf("large component with no visible mark group within %d hops", limit)
 	}
 
 	// Cluster marked nodes into groups by component distance <= 2*spread.
-	group := t.nearestGroup(vg, compDist, markedNodes)
+	group := t.nearestGroup(view, compDist, markedNodes)
 	// Connected components among the group's nodes (g-adjacency).
-	comps := adjacencyComponents(vg, group)
+	comps := adjacencyComponents(view, group)
 	var phiS int
 	switch comps {
 	case 1:
@@ -130,7 +129,7 @@ func (t ThreeColoring) decodeNode(view *local.View) any {
 	}
 	s := group[0]
 	for _, v := range group[1:] {
-		if vg.ID(v) < vg.ID(s) {
+		if view.ID(v) < view.ID(s) {
 			s = v
 		}
 	}
@@ -143,16 +142,16 @@ func (t ThreeColoring) decodeNode(view *local.View) any {
 
 // canonicalColor 2-colors a fully visible component: the side of the
 // smallest-ID node gets color 2.
-func (t ThreeColoring) canonicalColor(vg *graph.Graph, compDist map[int]int, c int) any {
+func (t ThreeColoring) canonicalColor(view *local.View, compDist map[int]int, c int) any {
 	small := -1
 	for i := range compDist {
-		if small == -1 || vg.ID(i) < vg.ID(small) {
+		if small == -1 || view.ID(i) < view.ID(small) {
 			small = i
 		}
 	}
 	// Parity of the component distance between c and small: BFS within the
 	// component map.
-	d, err := compDistance(vg, compDist, small, c)
+	d, err := compDistance(view, compDist, small, c)
 	if err != nil {
 		return err
 	}
@@ -164,7 +163,7 @@ func (t ThreeColoring) canonicalColor(vg *graph.Graph, compDist map[int]int, c i
 
 // compDistance computes the distance between two nodes within the explored
 // component.
-func compDistance(vg *graph.Graph, compDist map[int]int, from, to int) (int, error) {
+func compDistance(view *local.View, compDist map[int]int, from, to int) (int, error) {
 	dist := map[int]int{from: 0}
 	queue := []int{from}
 	for len(queue) > 0 {
@@ -173,7 +172,7 @@ func compDistance(vg *graph.Graph, compDist map[int]int, from, to int) (int, err
 		if u == to {
 			return dist[u], nil
 		}
-		for _, w := range vg.Neighbors(u) {
+		for _, w := range view.Neighbors(u) {
 			if _, in := compDist[w]; !in {
 				continue
 			}
@@ -189,13 +188,13 @@ func compDistance(vg *graph.Graph, compDist map[int]int, from, to int) (int, err
 // nearestGroup clusters the marked nodes by component distance (threshold
 // 2*GroupSpread) and returns the cluster containing the marked node nearest
 // to the center.
-func (t ThreeColoring) nearestGroup(vg *graph.Graph, compDist map[int]int, markedNodes []int) []int {
+func (t ThreeColoring) nearestGroup(view *local.View, compDist map[int]int, markedNodes []int) []int {
 	sort.Slice(markedNodes, func(a, b int) bool {
 		da, db := compDist[markedNodes[a]], compDist[markedNodes[b]]
 		if da != db {
 			return da < db
 		}
-		return vg.ID(markedNodes[a]) < vg.ID(markedNodes[b])
+		return view.ID(markedNodes[a]) < view.ID(markedNodes[b])
 	})
 	seed := markedNodes[0]
 	group := []int{seed}
@@ -210,7 +209,7 @@ func (t ThreeColoring) nearestGroup(vg *graph.Graph, compDist map[int]int, marke
 				continue
 			}
 			for _, gmem := range group {
-				d, err := compDistance(vg, compDist, gmem, m)
+				d, err := compDistance(view, compDist, gmem, m)
 				if err == nil && d <= 2*t.GroupSpread {
 					group = append(group, m)
 					inGroup[m] = true
@@ -224,8 +223,8 @@ func (t ThreeColoring) nearestGroup(vg *graph.Graph, compDist map[int]int, marke
 }
 
 // adjacencyComponents counts connected components of the subgraph induced
-// by nodes (using vg adjacency).
-func adjacencyComponents(vg *graph.Graph, nodes []int) int {
+// by nodes (using the view's adjacency).
+func adjacencyComponents(view *local.View, nodes []int) int {
 	in := map[int]bool{}
 	for _, v := range nodes {
 		in[v] = true
@@ -242,7 +241,7 @@ func adjacencyComponents(vg *graph.Graph, nodes []int) int {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, w := range vg.Neighbors(u) {
+			for _, w := range view.Neighbors(u) {
 				if in[w] && !seen[w] {
 					seen[w] = true
 					queue = append(queue, w)

@@ -187,9 +187,10 @@ func decodeCenter(view *local.View) (bitstr.String, bool) {
 		shellOne[i] = -1
 	}
 	var ones []int
-	for i := 0; i < view.G.N(); i++ {
+	for _, u := range view.Nodes() {
+		i := int(u)
 		if view.Advice[i].Len() == 1 && view.Advice[i].Bit(0) == 1 {
-			d := view.Dist[i]
+			d := view.Dist(i)
 			if shellOne[d] != -1 {
 				return bitstr.String{}, false // two 1s in one shell
 			}
@@ -210,8 +211,8 @@ func decodeCenter(view *local.View) (bitstr.String, bool) {
 	for d := 1; d <= maxD; d++ {
 		next := map[int]bool{}
 		for node := range frontier {
-			for _, w := range view.G.Neighbors(node) {
-				if view.Dist[w] == d {
+			for _, w := range view.Neighbors(node) {
+				if view.Dist(w) == d {
 					next[w] = true
 				}
 			}

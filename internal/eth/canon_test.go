@@ -15,8 +15,11 @@ import (
 
 // canonicalizeViewReference is the fmt-based rendering of the canonical
 // fingerprint that CanonicalizeView must reproduce byte for byte: every
-// stored table is keyed by these bytes.
-func canonicalizeViewReference(view *local.View) string {
+// stored table is keyed by these bytes. It renders the materialized ball,
+// whose edge list it reads directly, so it shares no code with the
+// fingerprint's walk over the view's neighbor lists.
+func canonicalizeViewReference(lazy *local.View) string {
+	view := lazy.Materialize()
 	n := view.G.N()
 	// Rank nodes by ID.
 	order := make([]int, n)

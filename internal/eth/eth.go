@@ -56,16 +56,22 @@ func CanonicalizeView(view *local.View) string {
 }
 
 // canonScratch is the reusable working state of one fingerprint rendering:
-// the rank order, the rank of each node, the edges as rank pairs, and the
+// the ball's nodes in rank (ID) order, the edges as rank pairs, and the
 // byte buffer the key is written into. The slices size themselves to the
 // largest view seen, so a worker rendering view after view stops
 // allocating. A canonScratch is not safe for concurrent use; callers take
 // one from canonPool per view and return it when done with the key.
 type canonScratch struct {
-	order []int
-	rank  []int
-	pairs []rankPair
-	buf   []byte
+	ranked []rankedNode
+	pairs  []rankPair
+	buf    []byte
+}
+
+// rankedNode is a view node with its ID; a slice sorted by ID lists the
+// nodes in rank order.
+type rankedNode struct {
+	id   int64
+	node int
 }
 
 // rankPair is an edge as the ranks of its endpoints, a < b.
@@ -74,29 +80,31 @@ type rankPair struct{ a, b int }
 var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
 
 // key renders view's fingerprint into sc.buf and returns it; the bytes are
-// valid until sc's next key call.
+// valid until sc's next key call. It reads the ball through the view's
+// methods: the nodes, then each node's visible neighbors.
 func (sc *canonScratch) key(view *local.View) []byte {
-	g := view.G
-	n := g.N()
+	nodes := view.Nodes()
+	n := len(nodes)
 	// Rank nodes by ID (IDs within a graph are distinct, so the order is
 	// total and does not depend on the sort algorithm).
-	sc.order = slices.Grow(sc.order[:0], n)[:n]
-	for i := range sc.order {
-		sc.order[i] = i
+	sc.ranked = sc.ranked[:0]
+	for _, u := range nodes {
+		sc.ranked = append(sc.ranked, rankedNode{id: view.ID(int(u)), node: int(u)})
 	}
-	slices.SortFunc(sc.order, func(a, b int) int { return cmp.Compare(g.ID(a), g.ID(b)) })
-	sc.rank = slices.Grow(sc.rank[:0], n)[:n]
-	for r, v := range sc.order {
-		sc.rank[v] = r
+	slices.SortFunc(sc.ranked, func(p, q rankedNode) int { return cmp.Compare(p.id, q.id) })
+	rank := func(u int) int {
+		r, _ := slices.BinarySearchFunc(sc.ranked, view.ID(u), func(p rankedNode, id int64) int { return cmp.Compare(p.id, id) })
+		return r
 	}
-	// Edges as sorted rank pairs.
+	// Edges as sorted rank pairs, each visible edge taken from its
+	// lower-ranked endpoint.
 	sc.pairs = sc.pairs[:0]
-	for _, e := range g.Edges() {
-		a, b := sc.rank[e.U], sc.rank[e.V]
-		if a > b {
-			a, b = b, a
+	for a, rn := range sc.ranked {
+		for _, w := range view.Neighbors(rn.node) {
+			if b := rank(w); b > a {
+				sc.pairs = append(sc.pairs, rankPair{a, b})
+			}
 		}
-		sc.pairs = append(sc.pairs, rankPair{a, b})
 	}
 	slices.SortFunc(sc.pairs, func(p, q rankPair) int {
 		return cmp.Or(cmp.Compare(p.a, q.a), cmp.Compare(p.b, q.b))
@@ -105,7 +113,7 @@ func (sc *canonScratch) key(view *local.View) []byte {
 	b := append(sc.buf[:0], "n="...)
 	b = strconv.AppendInt(b, int64(n), 10)
 	b = append(b, ";center="...)
-	b = strconv.AppendInt(b, int64(sc.rank[view.Center]), 10)
+	b = strconv.AppendInt(b, int64(rank(view.Center)), 10)
 	b = append(b, ';')
 	for _, p := range sc.pairs {
 		b = append(b, 'e')
@@ -115,18 +123,18 @@ func (sc *canonScratch) key(view *local.View) []byte {
 		b = append(b, ';')
 	}
 	// Per-rank metadata: advice, true degree, distance from center.
-	for r, v := range sc.order {
+	for r, rn := range sc.ranked {
 		b = append(b, 'v')
 		b = strconv.AppendInt(b, int64(r), 10)
 		b = append(b, ':')
-		adv := view.Advice[v]
+		adv := view.Advice[rn.node]
 		for i := 0; i < adv.Len(); i++ {
 			b = append(b, '0'+byte(adv.Bit(i)))
 		}
 		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(view.TrueDegree[v]), 10)
+		b = strconv.AppendInt(b, int64(view.TrueDegree(rn.node)), 10)
 		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(view.Dist[v]), 10)
+		b = strconv.AppendInt(b, int64(view.Dist(rn.node)), 10)
 		b = append(b, ';')
 	}
 	sc.buf = b

@@ -13,17 +13,17 @@ import (
 )
 
 // parityAlgo is order-invariant: output depends on the view topology only.
-func parityAlgo(view *local.View) any { return view.G.N() % 2 }
+func parityAlgo(view *local.View) any { return len(view.Nodes()) % 2 }
 
 // idAlgo is NOT order-invariant: it outputs the numerical center ID.
-func idAlgo(view *local.View) any { return view.G.ID(view.Center) }
+func idAlgo(view *local.View) any { return view.ID(view.Center) }
 
 // rankAlgo is order-invariant but ID-dependent: the center's ID rank within
 // its view.
 func rankAlgo(view *local.View) any {
 	rank := 0
-	for i := 0; i < view.G.N(); i++ {
-		if view.G.ID(i) < view.G.ID(view.Center) {
+	for _, u := range view.Nodes() {
+		if view.ID(int(u)) < view.ID(view.Center) {
 			rank++
 		}
 	}

@@ -150,11 +150,14 @@ func (s Schema) Decode(g *graph.Graph, advice local.Advice) (*lcl.Solution, loca
 }
 
 // decodeNode reconstructs the center's cluster, reads its strip labels, and
-// completes the cluster by deterministic brute force. Its working state is
-// a pooled scratch; the nodeOutput it returns is freshly allocated.
-func (d *decoder) decodeNode(view *local.View) any {
+// completes the cluster by deterministic brute force. The clustering and
+// the completion read the whole ball, so it materializes the view first.
+// Its working state is a pooled scratch; the nodeOutput it returns is
+// freshly allocated.
+func (d *decoder) decodeNode(lazy *local.View) any {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	view := lazy.Materialize()
 	vg := view.G
 	n := vg.N()
 
@@ -318,7 +321,7 @@ func (sc *scratch) unsetPartial(sub *graph.Graph) *lcl.Solution {
 const completionBudget = 500000
 
 // decodeSolo handles a node whose whole (marker-free) component is visible.
-func (d *decoder) decodeSolo(view *local.View, sc *scratch) any {
+func (d *decoder) decodeSolo(view *local.Ball, sc *scratch) any {
 	vg := view.G
 	sc.sources = append(sc.sources[:0], view.Center)
 	comp := sc.domain[:0]

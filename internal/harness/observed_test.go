@@ -13,7 +13,7 @@ import (
 func engineExperiment(id string) Experiment {
 	return Experiment{ID: id, Title: "test", Run: func() (*Table, error) {
 		g := graph.Cycle(32)
-		decide := func(view *local.View) any { return view.G.N() }
+		decide := func(view *local.View) any { return len(view.Nodes()) }
 		if _, _, err := local.RunSequential(g, &local.GatherProtocol{Radius: 2, Decide: decide}, nil, local.RunConfig{}); err != nil {
 			return nil, err
 		}

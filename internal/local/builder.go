@@ -169,97 +169,84 @@ func mustValidateAdvice(g *graph.Graph, advice Advice) {
 	}
 }
 
-// ViewBuilder assembles radius-T views using per-builder scratch storage (a
-// bounded-BFS scratch and ID and edge accumulation buffers). It also owns
-// the one View that RunBall hands its algorithm for every node the
-// builder's worker evaluates, rebuilt in place (graph.Graph.Rebuild and
-// resliced per-node arrays), so the ball engine allocates nothing per node
-// once the builder has held its largest view. A ViewBuilder is not safe for
-// concurrent use; the parallel engine gives each worker its own.
-type ViewBuilder struct {
-	bfs   graph.BFSScratch
+// viewBuilder is one ball-engine worker's reusable state: the View that
+// RunBall resets for every node the worker evaluates, the BFS scratch the
+// view grows in, and the Ball (with its subgraph and ID and edge buffers)
+// that Materialize rebuilds in place. Once a worker has held its largest
+// view, evaluating a node allocates nothing. A viewBuilder is not safe for
+// concurrent use; each worker takes its own from builderPool.
+type viewBuilder struct {
+	bfs  graph.BFSScratch
+	view View
+
+	ball  Ball
+	sub   graph.Graph
 	ids   []int64
 	edges []graph.Edge
-
-	// view is RunBall's reused View; its G points at sub.
-	view View
-	sub  graph.Graph
 }
 
-// NewViewBuilder returns an empty builder; its scratch sizes itself lazily
-// to the graphs it sees.
-func NewViewBuilder() *ViewBuilder { return &ViewBuilder{} }
-
-// builderPool backs the package-level BuildView and RunBall's workers so
-// that one-off callers also reuse scratch.
-var builderPool = sync.Pool{New: func() any { return NewViewBuilder() }}
-
-// BuildView constructs the radius-T view of node v in g under advice. The
-// returned View shares nothing with the builder and may be retained.
-func (b *ViewBuilder) BuildView(g *graph.Graph, advice Advice, v, radius int) *View {
-	mustValidateAdvice(g, advice)
-	view := &View{G: new(graph.Graph)}
-	b.fill(view, g, advice, v, radius)
-	return view
+// newViewBuilder returns an empty builder whose view grows in its BFS
+// scratch and materializes into its Ball.
+func newViewBuilder() *viewBuilder {
+	b := new(viewBuilder)
+	b.view.bfs, b.view.b, b.ball.G = &b.bfs, b, &b.sub
+	return b
 }
 
-// reusedView rebuilds the builder's own View as the radius-T view of node v
-// and returns it. The View is valid until the builder's next reusedView
-// call; advice must already be validated.
-func (b *ViewBuilder) reusedView(g *graph.Graph, advice Advice, v, radius int) *View {
-	b.view.G = &b.sub
-	b.fill(&b.view, g, advice, v, radius)
-	return &b.view
-}
+// builderPool backs BuildView and RunBall's workers, so that one-off
+// callers also reuse scratch.
+var builderPool = sync.Pool{New: func() any { return newViewBuilder() }}
 
-// fill overwrites view (whose G must be non-nil) with the radius-T view of
-// node v, reusing view's storage where it is large enough.
-func (b *ViewBuilder) fill(view *View, g *graph.Graph, advice Advice, v, radius int) {
-	csr := g.Snapshot()
-	ball := g.BFSWithin(v, radius, &b.bfs)
-	k := len(ball)
+// fill overwrites ball (whose G must be non-nil) with v's whole ball,
+// reusing ball's storage where it is large enough.
+func (b *viewBuilder) fill(ball *Ball, v *View) {
+	nodes := v.Nodes()
+	k := len(nodes)
 
 	b.ids = b.ids[:0]
-	for _, u := range ball {
-		b.ids = append(b.ids, g.ID(int(u)))
+	for _, u := range nodes {
+		b.ids = append(b.ids, v.g.ID(int(u)))
 	}
 	// Collect the visible edges: both endpoints in the ball, at least one
 	// endpoint strictly inside radius (a node learns an edge in T rounds
 	// only if some endpoint is at distance <= T-1). Edges are emitted in
 	// the same order the incremental constructor would add them, so the
-	// subgraph's adjacency order is identical to the historical engine's.
+	// subgraph's adjacency order follows the BFS order.
 	b.edges = b.edges[:0]
-	for i, u := range ball {
-		du := b.bfs.Dist(int(u))
-		for _, w := range csr.Neighbors(int(u)) {
-			j := b.bfs.Pos(int(w))
-			if j <= i { // invisible (-1) or already emitted from the other side
+	for i, u := range nodes {
+		du := v.bfs.Dist(int(u))
+		for _, w := range v.g.Neighbors(int(u)) {
+			j := v.bfs.Pos(w)
+			if j <= i { // outside the ball (-1) or already emitted from the other side
 				continue
 			}
-			if du >= radius && b.bfs.Dist(int(w)) >= radius {
+			if du >= v.Radius && v.bfs.Dist(w) >= v.Radius {
 				continue
 			}
 			b.edges = append(b.edges, graph.Edge{U: i, V: j})
 		}
 	}
-	view.G.Rebuild(b.ids, b.edges)
+	ball.G.Rebuild(b.ids, b.edges)
 
-	view.Center = 0 // v is the BFS source, always first in ball order
-	view.Dist = slices.Grow(view.Dist[:0], k)[:k]
-	view.Advice = slices.Grow(view.Advice[:0], k)[:k]
-	view.TrueDegree = slices.Grow(view.TrueDegree[:0], k)[:k]
-	view.Radius = radius
-	view.N = g.N()
-	view.Delta = csr.MaxDegree()
-	for i, u := range ball {
-		view.Dist[i] = b.bfs.Dist(int(u))
-		view.TrueDegree[i] = csr.Degree(int(u))
-		view.Advice[i] = bitstr.String{}
-		if int(u) < len(advice) {
-			view.Advice[i] = advice[int(u)]
+	ball.Center = 0 // the center is the BFS source, always first
+	ball.Dist = slices.Grow(ball.Dist[:0], k)[:k]
+	ball.Advice = slices.Grow(ball.Advice[:0], k)[:k]
+	ball.TrueDegree = slices.Grow(ball.TrueDegree[:0], k)[:k]
+	ball.Radius, ball.N, ball.Delta = v.Radius, v.N, v.Delta
+	for i, u := range nodes {
+		ball.Dist[i] = v.bfs.Dist(int(u))
+		ball.TrueDegree[i] = v.TrueDegree(int(u))
+		ball.Advice[i] = bitstr.String{}
+		if int(u) < len(v.Advice) {
+			ball.Advice[i] = v.Advice[u]
 		}
 	}
 }
+
+// testHookRunBall, when non-nil, is called with every output RunBall
+// computes and what it was computed from. Only tests set it
+// (export_test.go), to rerun algo on BuildView's view of the same node.
+var testHookRunBall func(g *graph.Graph, advice Advice, v, radius int, algo BallAlgorithm, out any)
 
 // RunBall executes a ball algorithm with the given radius on every node of
 // g and returns the per-node outputs. The round count is exactly the
@@ -268,10 +255,12 @@ func (b *ViewBuilder) fill(view *View, g *graph.Graph, advice Advice, v, radius 
 // result is identical for any worker count (cfg.Workers, resolved by
 // RunConfig.normalize).
 //
-// Each worker hands its algorithm one View, rebuilt in place for every node
-// it evaluates, so the view (its graph, slices and the graph's accessor
-// results) is valid only during the call; see BallAlgorithm. Callers that
-// keep views build them with BuildView.
+// Each worker hands its algorithm one View over g, reset for every node it
+// evaluates and grown only as far as the algorithm reads, so the view (and
+// its Ball and the slices its methods return) is valid only during the
+// call; see BallAlgorithm. Callers that keep views build them with
+// BuildView. With a metrics collector, the run emits ball.views (the views
+// evaluated) and ball.view_nodes (the nodes those views stamped).
 //
 // A negative radius (an error wrapping ErrNegativeRadius) and malformed
 // advice (wrapping ErrAdviceLength) are reported before the engine starts.
@@ -299,12 +288,16 @@ func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg 
 	if n == 0 {
 		return outputs, Stats{Rounds: radius}, nil
 	}
-	g.Snapshot() // build the CSR once, before the fan-out
+	delta := g.Snapshot().MaxDegree()
+	viewAdvice := []bitstr.String(advice)
+	if viewAdvice == nil {
+		viewAdvice = make([]bitstr.String, n)
+	}
 
 	// Metrics: the ball engine has no per-round message flow, so it records
 	// a single round entry (round = radius) with the total and per-worker
-	// view-construction time. Active nodes excludes a node crashed within
-	// the radius (it builds no view).
+	// time. Active nodes excludes a node crashed within the radius (it gets
+	// no view).
 	m := cfg.collector()
 	var (
 		runID      int
@@ -316,7 +309,7 @@ func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg 
 		shardNanos = make([]int64, workers)
 		runStart = time.Now()
 	}
-	finish := func() {
+	finish := func(viewNodes int64) {
 		if !m.Enabled() {
 			return
 		}
@@ -329,33 +322,48 @@ func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg 
 			ActiveNodes: active, WallNanos: time.Since(runStart).Nanoseconds(),
 			ShardNanos: shardNanos})
 		m.Emit("ball.views", "", int64(active))
+		m.Emit("ball.view_nodes", "", viewNodes)
 	}
 
-	evaluate := func(b *ViewBuilder, v int) any {
-		if v == crashed {
-			return fault.CrashError{Node: v, Round: cfg.Fault.CrashRound}
+	// sweep evaluates nodes from next until it runs out, and returns the
+	// number of nodes the worker's views stamped.
+	sweep := func(b *viewBuilder, next *atomic.Int64) int64 {
+		var stamped int64
+		for {
+			v := int(next.Add(1)) - 1
+			if v >= n {
+				return stamped
+			}
+			if v == crashed {
+				outputs[v] = fault.CrashError{Node: v, Round: cfg.Fault.CrashRound}
+				continue
+			}
+			b.view.reset(g, nil, viewAdvice, v, radius, n, delta)
+			outputs[v] = algo(&b.view)
+			stamped += int64(b.view.stamped())
+			if testHookRunBall != nil {
+				testHookRunBall(g, advice, v, radius, algo, outputs[v])
+			}
 		}
-		return algo(b.reusedView(g, advice, v, radius))
 	}
 
 	if workers <= 1 {
-		b := builderPool.Get().(*ViewBuilder)
+		b := builderPool.Get().(*viewBuilder)
 		defer builderPool.Put(b)
-		for v := 0; v < n; v++ {
-			outputs[v] = evaluate(b, v)
-		}
+		var next atomic.Int64
+		stamped := sweep(b, &next)
 		if m.Enabled() {
 			shardNanos[0] = time.Since(runStart).Nanoseconds()
 		}
-		finish()
+		finish(stamped)
 		return outputs, Stats{Rounds: radius}, nil
 	}
 
 	var (
-		next      atomic.Int64
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicked  any
+		next, viewNodes atomic.Int64
+		wg              sync.WaitGroup
+		panicOnce       sync.Once
+		panicked        any
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -375,15 +383,9 @@ func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg 
 			if m.Enabled() {
 				shardStart = time.Now()
 			}
-			b := builderPool.Get().(*ViewBuilder)
+			b := builderPool.Get().(*viewBuilder)
 			defer builderPool.Put(b)
-			for {
-				v := int(next.Add(1)) - 1
-				if v >= n {
-					break
-				}
-				outputs[v] = evaluate(b, v)
-			}
+			viewNodes.Add(sweep(b, &next))
 			if m.Enabled() {
 				shardNanos[w] = time.Since(shardStart).Nanoseconds()
 			}
@@ -393,6 +395,6 @@ func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg 
 	if panicked != nil {
 		panic(panicked)
 	}
-	finish()
+	finish(viewNodes.Load())
 	return outputs, Stats{Rounds: radius}, nil
 }

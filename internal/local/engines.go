@@ -64,3 +64,16 @@ func validateRadius(radius int) error {
 	}
 	return nil
 }
+
+// ViewSize is a ball algorithm whose output is the size of its view:
+// nodes·10⁶ + visible edges. The locad engine, trace and fault commands
+// time the engines on it; since it reads the whole ball, equal outputs pin
+// equal views across engines.
+func ViewSize(view *View) any {
+	nodes := view.Nodes()
+	degrees := 0
+	for _, u := range nodes {
+		degrees += view.Degree(int(u))
+	}
+	return len(nodes)*1_000_000 + degrees/2
+}

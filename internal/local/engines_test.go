@@ -16,10 +16,10 @@ import (
 // without depending on a production decoder.
 func sumIDsInView(v *View) any {
 	var sum int64
-	for i := 0; i < v.G.N(); i++ {
-		sum += v.G.ID(i)
+	for _, u := range v.Nodes() {
+		sum += v.ID(int(u))
 	}
-	return fmt.Sprintf("%d/%d/%s", sum, v.TrueDegree[v.Center], v.Advice[v.Center])
+	return fmt.Sprintf("%d/%d/%s", sum, v.TrueDegree(v.Center), v.Advice[v.Center])
 }
 
 // TestRunDeciderUnknownEngine pins the typed dispatch error.

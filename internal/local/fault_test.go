@@ -57,7 +57,7 @@ func TestNormalizeWorkers(t *testing.T) {
 
 // gatherDecide is the engine-equivalence workload: a pure function of the
 // radius-T view.
-func gatherDecide(view *View) any { return view.G.N()*1_000_000 + view.G.M() }
+func gatherDecide(view *View) any { return ViewSize(view) }
 
 // TestCrashAgreementAcrossEngines runs the same crash plan through every
 // engine at workers -1/1/8 and checks they agree: every engine leaves the
@@ -140,7 +140,7 @@ func TestAdviceFlipAgreementAcrossEngines(t *testing.T) {
 // past the radius never fires.
 func TestBallEngineCrash(t *testing.T) {
 	g := graph.Cycle(20)
-	algo := func(view *View) any { return view.G.N() }
+	algo := func(view *View) any { return len(view.Nodes()) }
 
 	outputs, _, err := RunBall(g, nil, 2, algo, RunConfig{
 		Fault: &fault.Plan{CrashNode: 3, CrashRound: 2},

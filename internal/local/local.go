@@ -19,8 +19,9 @@
 //
 // The ball engine (RunBall) exploits the standard equivalence "a T-round
 // LOCAL algorithm is a function of the radius-T view": it hands every node
-// its radius-T view (topology, IDs, degrees, advice) and records T as the
-// round count. All advice-schema decoders in this codebase are written
+// its radius-T view (topology, IDs, degrees, advice), read from the host
+// graph and grown only as far as the algorithm reads it, and records T as
+// the round count. All advice-schema decoders in this codebase are written
 // against views.
 //
 // RunDecider dispatches a view-decide function to any of the four engines

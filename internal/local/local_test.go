@@ -2,8 +2,6 @@ package local
 
 import (
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"localadvice/internal/bitstr"
@@ -106,17 +104,17 @@ func TestAdviceStats(t *testing.T) {
 
 func TestBuildViewRadius(t *testing.T) {
 	g := graph.Cycle(8)
-	view := BuildView(g, nil, 0, 2)
+	view := BuildView(g, nil, 0, 2).Materialize()
 	if view.G.N() != 5 {
 		t.Errorf("view has %d nodes, want 5", view.G.N())
 	}
 	if view.Dist[view.Center] != 0 {
 		t.Error("center distance nonzero")
 	}
-	if view.NodeByID(g.ID(2)) == -1 || view.NodeByID(g.ID(6)) == -1 {
+	if view.G.NodeByID(g.ID(2)) == -1 || view.G.NodeByID(g.ID(6)) == -1 {
 		t.Error("node at distance 2 missing from view")
 	}
-	if view.NodeByID(g.ID(3)) != -1 || view.NodeByID(g.ID(5)) != -1 {
+	if view.G.NodeByID(g.ID(3)) != -1 || view.G.NodeByID(g.ID(5)) != -1 {
 		t.Error("node at distance 3 visible in radius-2 view")
 	}
 }
@@ -125,12 +123,12 @@ func TestBuildViewExcludesBoundaryEdges(t *testing.T) {
 	// Triangle: from any node with radius 1, the two neighbors are at
 	// distance exactly 1, so the edge between them must be invisible.
 	g := graph.Complete(3)
-	view := BuildView(g, nil, 0, 1)
+	view := BuildView(g, nil, 0, 1).Materialize()
 	if view.G.M() != 2 {
 		t.Errorf("radius-1 view of triangle has %d edges, want 2", view.G.M())
 	}
 	// With radius 2 the whole triangle is visible.
-	view2 := BuildView(g, nil, 0, 2)
+	view2 := BuildView(g, nil, 0, 2).Materialize()
 	if view2.G.M() != 3 {
 		t.Errorf("radius-2 view of triangle has %d edges, want 3", view2.G.M())
 	}
@@ -138,8 +136,8 @@ func TestBuildViewExcludesBoundaryEdges(t *testing.T) {
 
 func TestBuildViewTrueDegree(t *testing.T) {
 	g := graph.Star(5)
-	view := BuildView(g, nil, 1, 1) // a leaf sees the center
-	c := view.NodeByID(g.ID(0))
+	view := BuildView(g, nil, 1, 1).Materialize() // a leaf sees the center
+	c := view.G.NodeByID(g.ID(0))
 	if c == -1 {
 		t.Fatal("center invisible from leaf at radius 1")
 	}
@@ -155,7 +153,7 @@ func TestBuildViewTrueDegree(t *testing.T) {
 func TestBuildViewCarriesAdvice(t *testing.T) {
 	g := graph.Path(3)
 	adv := Advice{bitstr.New(1), bitstr.New(0), bitstr.New(1, 1)}
-	view := BuildView(g, adv, 1, 1)
+	view := BuildView(g, adv, 1, 1).Materialize()
 	for i := 0; i < view.G.N(); i++ {
 		orig := g.NodeByID(view.G.ID(i))
 		if !view.Advice[i].Equal(adv[orig]) {
@@ -166,7 +164,7 @@ func TestBuildViewCarriesAdvice(t *testing.T) {
 
 func TestRunBallRoundsEqualsRadius(t *testing.T) {
 	g := graph.Grid2D(4, 4)
-	_, stats := mustRunBall(t, g, nil, 3, func(view *View) any { return view.G.N() }, RunConfig{})
+	_, stats := mustRunBall(t, g, nil, 3, func(view *View) any { return len(view.Nodes()) }, RunConfig{})
 	if stats.Rounds != 3 {
 		t.Errorf("rounds = %d, want 3", stats.Rounds)
 	}
@@ -191,30 +189,9 @@ func TestEngineEquivalence(t *testing.T) {
 			adv[v] = bitstr.New(rng.Intn(2))
 		}
 		for _, radius := range []int{1, 2, 3} {
-			summarize := func(view *View) any {
-				// A canonical fingerprint of the view: sorted ID pairs of
-				// edges plus sorted (ID, advice, truedeg, dist) tuples.
-				edgeFPs := make([]string, 0, view.G.M())
-				for _, e := range view.G.Edges() {
-					a, b := view.G.ID(e.U), view.G.ID(e.V)
-					if a > b {
-						a, b = b, a
-					}
-					edgeFPs = append(edgeFPs, fingerprintEdge(a, b))
-				}
-				sort.Strings(edgeFPs)
-				fp := strings.Join(edgeFPs, "")
-				ids := make([]int64, view.G.N())
-				for i := range ids {
-					ids[i] = view.G.ID(i)
-				}
-				sortIDs(ids)
-				for _, id := range ids {
-					i := view.NodeByID(id)
-					fp += fingerprintNode(id, view.Advice[i], view.TrueDegree[i], view.Dist[i])
-				}
-				return fp
-			}
+			// A canonical fingerprint of the view: sorted ID pairs of edges
+			// plus sorted (ID, advice, truedeg, dist) tuples.
+			summarize := func(view *View) any { return ballContents(view) }
 			ballOut, _ := mustRunBall(t, g, adv, radius, summarize, RunConfig{})
 			msgOut, _, err := Run(g, &GatherProtocol{Radius: radius, Decide: summarize}, adv, RunConfig{})
 			if err != nil {

@@ -13,30 +13,37 @@ import (
 	"localadvice/internal/graph"
 )
 
-// viewFingerprint is a canonical summary of a view: sorted edge ID pairs
-// plus sorted per-node (ID, advice, true degree, distance) tuples. Any
-// difference between two views shows up in the fingerprint.
+// viewFingerprint is a canonical summary of a view, read through its
+// methods: sorted edge ID pairs plus sorted per-node (ID, advice, true
+// degree, distance) tuples. Any difference between two views shows up in
+// the fingerprint.
 func viewFingerprint(view *View) any {
-	edgeFPs := make([]string, 0, view.G.M())
-	for _, e := range view.G.Edges() {
-		a, b := view.G.ID(e.U), view.G.ID(e.V)
-		if a > b {
-			a, b = b, a
+	return fmt.Sprintf("c%d|r%d|n%d|d%d|", view.ID(view.Center), view.Radius, view.N, view.Delta) + ballContents(view)
+}
+
+// ballContents renders the edges and nodes of view's whole ball, sorted by
+// ID.
+func ballContents(view *View) string {
+	nodes := view.Nodes()
+	var edgeFPs []string
+	for _, u := range nodes {
+		for _, w := range view.Neighbors(int(u)) {
+			if a, b := view.ID(int(u)), view.ID(w); a < b {
+				edgeFPs = append(edgeFPs, fingerprintEdge(a, b))
+			}
 		}
-		edgeFPs = append(edgeFPs, fingerprintEdge(a, b))
 	}
 	sort.Strings(edgeFPs)
 	fp := strings.Join(edgeFPs, "")
-	ids := make([]int64, view.G.N())
-	for i := range ids {
-		ids[i] = view.G.ID(i)
+	byID := make([]int, len(nodes))
+	for i, u := range nodes {
+		byID[i] = int(u)
 	}
-	sortIDs(ids)
-	for _, id := range ids {
-		i := view.NodeByID(id)
-		fp += fingerprintNode(id, view.Advice[i], view.TrueDegree[i], view.Dist[i])
+	sort.Slice(byID, func(a, b int) bool { return view.ID(byID[a]) < view.ID(byID[b]) })
+	for _, u := range byID {
+		fp += fingerprintNode(view.ID(u), view.Advice[u], view.TrueDegree(u), view.Dist(u))
 	}
-	return fmt.Sprintf("c%d|r%d|n%d|d%d|", view.G.ID(view.Center), view.Radius, view.N, view.Delta) + fp
+	return fp
 }
 
 // mustRunBall is RunBall for inputs the test knows are valid.
@@ -144,32 +151,46 @@ func TestMessageEngineAgreesWithParallelViewEngine(t *testing.T) {
 }
 
 // TestViewBuilderReuse checks that one builder used across many nodes and
-// graphs produces exactly what fresh standalone builds produce.
+// graphs materializes exactly the balls fresh standalone builds produce.
 func TestViewBuilderReuse(t *testing.T) {
-	b := NewViewBuilder()
+	b := builderPool.New().(*viewBuilder)
 	for _, g := range propertyGraphs(t, 9) {
 		advice := make(Advice, g.N())
 		for v := range advice {
 			advice[v] = bitstr.New(v % 2)
 		}
 		for v := 0; v < g.N(); v += 3 {
-			got := viewFingerprint(b.BuildView(g, advice, v, 2))
-			want := viewFingerprint(BuildView(g, advice, v, 2))
+			b.view.reset(g, nil, advice, v, 2, g.N(), g.MaxDegree())
+			got := ballFingerprint(b.view.Materialize())
+			want := ballFingerprint(BuildView(g, advice, v, 2).Materialize())
 			if got != want {
-				t.Fatalf("reused builder differs at node %d", v)
+				t.Fatalf("reused builder differs at node %d\nreused: %s\nfresh:  %s", v, got, want)
 			}
 		}
 	}
 }
 
-// TestViewsAreIndependent checks that views built by the same builder do not
-// alias each other's storage (the returned View must be retainable).
+// ballFingerprint renders a Ball field by field, in its own index order.
+func ballFingerprint(b *Ball) string {
+	return fmt.Sprintf("c%d|r%d|n%d|d%d|ids%v|edges%v|dist%v|adv%v|deg%v",
+		b.Center, b.Radius, b.N, b.Delta, ballIDs(b.G), b.G.Edges(), b.Dist, b.Advice, b.TrueDegree)
+}
+
+func ballIDs(g *graph.Graph) []int64 {
+	ids := make([]int64, g.N())
+	for i := range ids {
+		ids[i] = g.ID(i)
+	}
+	return ids
+}
+
+// TestViewsAreIndependent checks that views BuildView returns do not alias
+// the pooled builder's storage (the returned View must be retainable).
 func TestViewsAreIndependent(t *testing.T) {
 	g := graph.Cycle(30)
-	b := NewViewBuilder()
-	v1 := b.BuildView(g, nil, 0, 2)
+	v1 := BuildView(g, nil, 0, 2)
 	fp1 := viewFingerprint(v1)
-	_ = b.BuildView(g, nil, 15, 3) // would clobber v1 if storage were shared
+	_ = BuildView(g, nil, 15, 3) // would clobber v1 if storage were shared
 	if viewFingerprint(v1) != fp1 {
 		t.Fatal("a later BuildView mutated an earlier View")
 	}
@@ -204,7 +225,7 @@ func TestRunBallPanicReachesCaller(t *testing.T) {
 	g := graph.Cycle(300)
 	boom := errors.New("algorithm panic")
 	algo := func(view *View) any {
-		if view.G.ID(view.Center) == 151 {
+		if view.ID(view.Center) == 151 {
 			panic(boom)
 		}
 		return 0
@@ -382,6 +403,37 @@ func TestPortTableMatchesNestedScan(t *testing.T) {
 					t.Fatalf("%s: reversePort(%d, %d) = %d, nested scan says %d", name, v, i, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestSchedulerPanicReachesCaller: a node program that panics on one of the
+// scheduler's shard goroutines (Run, and RunFrugal, which sweeps on the
+// same core) is raised on the caller's goroutine at every worker count, as
+// on RunBall, instead of stopping the process.
+func TestSchedulerPanicReachesCaller(t *testing.T) {
+	g := graph.Cycle(300)
+	boom := errors.New("node program panic")
+	p := &GatherProtocol{Radius: 1, Decide: func(view *View) any {
+		if view.ID(view.Center) == 151 {
+			panic(boom)
+		}
+		return 0
+	}}
+	engines := map[string]func(RunConfig){
+		"scheduler": func(cfg RunConfig) { Run(g, p, nil, cfg) },
+		"frugal":    func(cfg RunConfig) { RunFrugal(g, p, nil, cfg) },
+	}
+	for name, run := range engines {
+		for _, workers := range []int{1, 2, 8} {
+			func() {
+				defer func() {
+					if r := recover(); r != boom {
+						t.Errorf("%s, %d workers: recovered %v, want the node program's panic value", name, workers, r)
+					}
+				}()
+				run(RunConfig{Workers: workers})
+			}()
 		}
 	}
 }

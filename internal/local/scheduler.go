@@ -220,7 +220,11 @@ func runSchedulerCore(g *graph.Graph, protocol Protocol, advice Advice, cfg RunC
 		if workers <= 1 {
 			total = sweep(0, n, round, cur, next)
 		} else {
-			var wg sync.WaitGroup
+			var (
+				wg        sync.WaitGroup
+				panicOnce sync.Once
+				panicked  any
+			)
 			for w := 0; w < workers; w++ {
 				lo := w * shard
 				hi := min(lo+shard, n)
@@ -231,6 +235,15 @@ func runSchedulerCore(g *graph.Graph, protocol Protocol, advice Advice, cfg RunC
 				wg.Add(1)
 				go func(w, lo, hi int) {
 					defer wg.Done()
+					// A panicking node program is recovered here and
+					// re-raised on the caller's goroutine after the round
+					// barrier, as RunBall does, so a caller's recover sees it
+					// at any worker count.
+					defer func() {
+						if p := recover(); p != nil {
+							panicOnce.Do(func() { panicked = p })
+						}
+					}()
 					if measure {
 						shardStart := time.Now()
 						shardStats[w] = sweep(lo, hi, round, cur, next)
@@ -241,6 +254,9 @@ func runSchedulerCore(g *graph.Graph, protocol Protocol, advice Advice, cfg RunC
 				}(w, lo, hi)
 			}
 			wg.Wait()
+			if panicked != nil {
+				panic(panicked)
+			}
 			total = sweepStats{allDone: true}
 			for _, st := range shardStats {
 				total.sent += st.sent

@@ -2,11 +2,13 @@ package orient
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"localadvice/internal/core"
 	"localadvice/internal/graph"
 	"localadvice/internal/lcl"
+	"localadvice/internal/local"
 )
 
 func testGraphs(t *testing.T) map[string]*graph.Graph {
@@ -118,29 +120,61 @@ func TestCanonicalDirectionRotationInvariant(t *testing.T) {
 	}
 }
 
+type walkResult struct {
+	nodes, edges []int
+	wrapped      bool
+}
+
+// viewWalk runs the decoder's walk from start through its incident edge
+// first on start's RunBall view of g at the given radius, reaching first
+// through the view's IncidentEdges as decodeNode does.
+func viewWalk(t *testing.T, g *graph.Graph, radius, start, first, maxSteps int) walkResult {
+	t.Helper()
+	outs, _, err := local.RunBall(g, nil, radius, func(view *local.View) any {
+		if view.Center != start || !slices.Contains(view.IncidentEdges(start), first) {
+			return nil
+		}
+		nodes, edges, wrapped := walk(view, start, first, maxSteps, nil, nil)
+		return walkResult{nodes, edges, wrapped}
+	}, local.RunConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, ok := outs[start].(walkResult)
+	if !ok {
+		t.Fatalf("edge %d is not incident to node %d", first, start)
+	}
+	return w
+}
+
+// TestWalkMatchesTrail walks every trail of a torus (closed trails) and of
+// a grid (open trails too) from its first node on a view whose radius
+// exceeds the trail, so every walked node sees all its edges, and checks
+// that the decoder's walk retraces the decomposition's trail.
 func TestWalkMatchesTrail(t *testing.T) {
-	g := graph.Torus2D(5, 5)
-	dec := Decompose(g)
-	tr := &dec.Trails[0]
-	nodes, edges, wrapped := Walk(g, tr.Nodes[0], tr.Edges[0], tr.Len())
-	if !wrapped != !tr.Closed {
-		t.Fatalf("wrap mismatch: %v vs %v", wrapped, tr.Closed)
-	}
-	if len(edges) != tr.Len() {
-		t.Fatalf("walk length %d, want %d", len(edges), tr.Len())
-	}
-	for i := range edges {
-		if edges[i] != tr.Edges[i] || nodes[i] != tr.Nodes[i] {
-			t.Fatalf("walk diverges at step %d", i)
+	for name, g := range map[string]*graph.Graph{
+		"torus5x5": graph.Torus2D(5, 5),
+		"grid4x5":  graph.Grid2D(4, 5),
+	} {
+		dec := Decompose(g)
+		for i := range dec.Trails {
+			tr := &dec.Trails[i]
+			w := viewWalk(t, g, tr.Len()+1, tr.Nodes[0], tr.Edges[0], tr.Len())
+			if w.wrapped != tr.Closed {
+				t.Fatalf("%s trail %d: wrapped %v, closed %v", name, i, w.wrapped, tr.Closed)
+			}
+			if !slices.Equal(w.edges, tr.Edges) || !slices.Equal(w.nodes, tr.Nodes) {
+				t.Fatalf("%s trail %d: walk %v over %v, trail %v over %v", name, i, w.nodes, w.edges, tr.Nodes, tr.Edges)
+			}
 		}
 	}
 }
 
 func TestWalkTruncates(t *testing.T) {
 	g := graph.Cycle(20)
-	nodes, edges, wrapped := Walk(g, 0, g.IncidentEdges(0)[0], 5)
-	if wrapped || len(edges) != 5 || len(nodes) != 6 {
-		t.Errorf("truncated walk wrong: %d edges, wrapped %v", len(edges), wrapped)
+	w := viewWalk(t, g, 6, 0, g.IncidentEdges(0)[0], 5)
+	if w.wrapped || len(w.edges) != 5 || len(w.nodes) != 6 {
+		t.Errorf("truncated walk wrong: %d edges, %d nodes, wrapped %v", len(w.edges), len(w.nodes), w.wrapped)
 	}
 }
 

@@ -1,8 +1,10 @@
 package orient
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"localadvice/internal/graph"
@@ -27,6 +29,30 @@ func checkPairing(t *testing.T, name string, g *graph.Graph) {
 			}
 		}
 	}
+}
+
+// checkViewPairing is checkPairing for the decoder's viewPartnerAt over
+// every node of a view's ball, where distance-T nodes see only part of
+// their edges. It returns the first mismatch, or "".
+func checkViewPairing(view *local.View) string {
+	for _, u := range view.Nodes() {
+		v := int(u)
+		sorted := slices.Clone(view.IncidentEdges(v))
+		slices.SortFunc(sorted, func(a, b int) int {
+			return cmp.Compare(view.ID(view.Other(a, v)), view.ID(view.Other(b, v)))
+		})
+		for r, e := range sorted {
+			want := -1
+			if r^1 < len(sorted) {
+				want = sorted[r^1]
+			}
+			if got := viewPartnerAt(view, v, e); got != want {
+				return fmt.Sprintf("node %d (visible degree %d), edge %d of rank %d: viewPartnerAt = %d, sorted pairing says %d",
+					v, len(sorted), e, r, got, want)
+			}
+		}
+	}
+	return ""
 }
 
 // TestPartnerAtMatchesSortedPairing pins the canonical pairing the trail
@@ -56,8 +82,14 @@ func TestPartnerAtMatchesSortedPairing(t *testing.T) {
 			}
 			label := name + "/" + ids
 			checkPairing(t, label, g)
-			for v := 0; v < g.N(); v++ {
-				checkPairing(t, fmt.Sprintf("%s view of %d", label, v), local.BuildView(g, nil, v, 2).G)
+			outs, _, err := local.RunBall(g, nil, 2, func(view *local.View) any { return checkViewPairing(view) }, local.RunConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, out := range outs {
+				if out != "" {
+					t.Fatalf("%s view of %d: %s", label, v, out)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package orient
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -248,51 +249,74 @@ func (s Schema) assemble(g *graph.Graph, outputs []any, stats local.Stats) (*lcl
 	return sol, stats, nil
 }
 
-// decodeNode orients every edge incident to the view's center.
+// decodeNode orients every edge incident to the view's center. Each
+// incident edge's trail is walked once: the walk through edge e is e's
+// forward segment and the backward segment of e's partner at the center.
 func (s Schema) decodeNode(view *local.View) ([]edgeDir, error) {
-	vg := view.G
 	c := view.Center
 	sc := walkPool.Get().(*walkScratch)
 	defer walkPool.Put(sc)
-	dirs := make([]edgeDir, 0, vg.Degree(c))
-	for _, e := range vg.IncidentEdges(c) {
-		out, err := s.decodeEdge(view, e, sc)
+	inc := view.IncidentEdges(c)
+	sc.walks = slices.Grow(sc.walks[:0], len(inc))[:len(inc)]
+	for i := range sc.walks {
+		sc.walks[i].done = false
+	}
+	dirs := make([]edgeDir, 0, len(inc))
+	for i, e := range inc {
+		out, err := s.decodeEdge(view, inc, i, sc)
 		if err != nil {
 			return nil, err
 		}
-		dirs = append(dirs, edgeDir{neighborID: vg.ID(vg.Other(e, c)), out: out})
+		dirs = append(dirs, edgeDir{neighborID: view.ID(view.Other(e, c)), out: out})
 	}
 	return dirs, nil
 }
 
-// walkScratch holds the trail segments of one edge decode: the forward
-// walk, the backward walk and the two merged into one segment. A worker
-// decoding view after view reuses one from walkPool, so the walks stop
-// allocating once it has held its longest segment. Nothing a decode
+// walkScratch holds the trail walks of one node decode, one per incident
+// edge of the center, and the merged segment of the edge being decided. A
+// worker decoding view after view reuses one from walkPool, so the walks
+// stop allocating once it has held its longest segments. Nothing a decode
 // returns refers to it, and it is not safe for concurrent use.
 type walkScratch struct {
-	fNodes, fEdges []int
-	bNodes, bEdges []int
-	nodes, edges   []int
+	walks        []trailWalk
+	nodes, edges []int
+}
+
+// trailWalk is the walk from the center through one of its edges, taken
+// at most once per decode.
+type trailWalk struct {
+	nodes, edges  []int
+	wrapped, done bool
 }
 
 var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}
 
-// decodeEdge decides whether the center's edge e points away from the
-// center, walking the trail segments into sc.
-func (s Schema) decodeEdge(view *local.View, e int, sc *walkScratch) (bool, error) {
-	vg := view.G
+// walkThrough returns the walk of at most maxSteps edges from the center
+// through its i-th incident edge e, walking it on first use.
+func (sc *walkScratch) walkThrough(view *local.View, i, e, maxSteps int) *trailWalk {
+	tw := &sc.walks[i]
+	if !tw.done {
+		tw.nodes, tw.edges, tw.wrapped = walk(view, view.Center, e, maxSteps, tw.nodes, tw.edges)
+		tw.done = true
+	}
+	return tw
+}
+
+// decodeEdge decides whether the center's i-th incident edge (inc[i])
+// points away from the center, from the walks through it and its partner.
+func (s Schema) decodeEdge(view *local.View, inc []int, i int, sc *walkScratch) (bool, error) {
 	c := view.Center
 	w := s.P.walkBudget()
+	e := inc[i]
 
-	fNodes, fEdges, wrapped := walk(vg, c, e, w, sc.fNodes, sc.fEdges)
-	sc.fNodes, sc.fEdges = fNodes, fEdges
+	f := sc.walkThrough(view, i, e, w)
+	fNodes, fEdges, wrapped := f.nodes, f.edges, f.wrapped
 	var bNodes, bEdges []int
-	backEdge := partnerAt(vg, c, e)
+	backEdge := viewPartnerAt(view, c, e)
 	atStart := backEdge == -1
 	if !wrapped && !atStart {
-		bNodes, bEdges, _ = walk(vg, c, backEdge, w, sc.bNodes, sc.bEdges)
-		sc.bNodes, sc.bEdges = bNodes, bEdges
+		b := sc.walkThrough(view, slices.Index(inc, backEdge), backEdge, w)
+		bNodes, bEdges = b.nodes, b.edges
 	}
 
 	// Combined trail segment: positions run backward-walk-reversed, then
@@ -312,8 +336,8 @@ func (s Schema) decodeEdge(view *local.View, e int, sc *walkScratch) (bool, erro
 	sc.nodes, sc.edges = nodes, edges
 	ePos := centerPos // edges[centerPos] == e
 
-	backAtEnd := !wrapped && (atStart || partnerEnds(vg, bNodes, bEdges))
-	forwardAtEnd := !wrapped && partnerEnds(vg, fNodes, fEdges)
+	backAtEnd := !wrapped && (atStart || partnerEnds(view, bNodes, bEdges))
+	forwardAtEnd := !wrapped && partnerEnds(view, fNodes, fEdges)
 
 	if wrapped || backAtEnd && forwardAtEnd {
 		// The whole trail is visible: apply the ID rule.
@@ -324,7 +348,7 @@ func (s Schema) decodeEdge(view *local.View, e int, sc *walkScratch) (bool, erro
 			t = Trail{Nodes: fNodes, Edges: fEdges, Closed: true}
 			ePos = 0
 		}
-		forward := CanonicalDirection(vg, &t)
+		forward := viewCanonicalDirection(view, &t)
 		return forward == (t.Nodes[ePos] == c), nil
 	}
 
@@ -352,12 +376,88 @@ func (s Schema) decodeEdge(view *local.View, e int, sc *walkScratch) (bool, erro
 	return false, fmt.Errorf("orient: no marked pair within %d trail steps of the center (trail longer than short bound)", w)
 }
 
+// The decoder's trail helpers below repeat the encoder's partnerAt, the
+// trail-following loop of traceTrail and CanonicalDirection step for step
+// on the concrete *local.View rather than sharing one interface with the
+// encoder's *graph.Graph versions: the per-step calls are the decoder's hot
+// path, where interface dispatch measured slower (DESIGN.md decision 1).
+
+// viewPartnerAt is partnerAt on a view: the edge paired with e at node v,
+// or -1 when e is v's unpaired leftover edge. A node below the view radius
+// sees all its edges, so its pairing agrees with the host graph's.
+func viewPartnerAt(view *local.View, v, e int) int {
+	id := view.ID(view.Other(e, v))
+	rank, below, above := 0, -1, -1
+	var belowID, aboveID int64
+	nbrs := view.Neighbors(v)
+	for i, f := range view.IncidentEdges(v) {
+		fid := view.ID(nbrs[i])
+		switch {
+		case f == e:
+		case fid < id:
+			rank++
+			if below == -1 || fid > belowID {
+				below, belowID = f, fid
+			}
+		case above == -1 || fid < aboveID:
+			above, aboveID = f, fid
+		}
+	}
+	if rank%2 == 1 {
+		return below
+	}
+	return above
+}
+
+// walk follows the trail containing firstEdge in view, starting at
+// startNode and traversing firstEdge first, for at most maxSteps edges. It
+// writes the visited nodes (beginning with startNode) and the edges between
+// them into the given buffers (from their start, growing them as needed)
+// and returns them, and true if the walk returned to its starting directed
+// edge (the trail is closed and fully traversed).
+func walk(view *local.View, startNode, firstEdge, maxSteps int, nodes, edges []int) ([]int, []int, bool) {
+	nodes = append(nodes[:0], startNode)
+	edges = edges[:0]
+	cur, curEdge := startNode, firstEdge
+	for step := 0; step < maxSteps; step++ {
+		next := view.Other(curEdge, cur)
+		nodes = append(nodes, next)
+		edges = append(edges, curEdge)
+		p := viewPartnerAt(view, next, curEdge)
+		if p == -1 {
+			return nodes, edges, false
+		}
+		if p == firstEdge && next == startNode {
+			return nodes, edges, true
+		}
+		cur, curEdge = next, p
+	}
+	return nodes, edges, false
+}
+
+// viewCanonicalDirection is CanonicalDirection on a view.
+func viewCanonicalDirection(view *local.View, t *Trail) bool {
+	bestPos := -1
+	var bestHi, bestLo int64
+	for i, e := range t.Edges {
+		ed := view.Edge(e)
+		hi, lo := view.ID(ed.U), view.ID(ed.V)
+		if hi < lo {
+			hi, lo = lo, hi
+		}
+		if bestPos == -1 || hi > bestHi || hi == bestHi && lo > bestLo {
+			bestPos, bestHi, bestLo = i, hi, lo
+		}
+	}
+	return view.ID(t.Nodes[bestPos]) > view.ID(t.Nodes[bestPos+1])
+}
+
 // partnerEnds reports whether the last node of a walk is a trail end (its
 // arriving edge has no partner there).
-func partnerEnds(g *graph.Graph, nodes, edges []int) bool {
+func partnerEnds(view *local.View, nodes, edges []int) bool {
 	if len(edges) == 0 {
 		return false
 	}
 	last := nodes[len(nodes)-1]
-	return partnerAt(g, last, edges[len(edges)-1]) == -1
+	return viewPartnerAt(view, last, edges[len(edges)-1]) == -1
 }

@@ -91,12 +91,13 @@ func (t TwoColoringStage) DecodeVar(g *graph.Graph, va core.VarAdvice, _ []*lcl.
 	outputs, stats, err := local.RunBall(g, advice, t.CoverRadius, func(view *local.View) any {
 		// Nearest marked node, ties toward smaller ID.
 		best := -1
-		for i := 0; i < view.G.N(); i++ {
+		for _, u := range view.Nodes() {
+			i := int(u)
 			if view.Advice[i].Len() != 1 {
 				continue
 			}
-			if best == -1 || view.Dist[i] < view.Dist[best] ||
-				view.Dist[i] == view.Dist[best] && view.G.ID(i) < view.G.ID(best) {
+			if best == -1 || view.Dist(i) < view.Dist(best) ||
+				view.Dist(i) == view.Dist(best) && view.ID(i) < view.ID(best) {
 				best = i
 			}
 		}
@@ -105,7 +106,7 @@ func (t TwoColoringStage) DecodeVar(g *graph.Graph, va core.VarAdvice, _ []*lcl.
 		}
 		// In a bipartite graph all paths between two nodes have the same
 		// parity, so any shortest path gives the right color.
-		return 1 + (view.Advice[best].Bit(0)+view.Dist[best])%2
+		return 1 + (view.Advice[best].Bit(0)+view.Dist(best))%2
 	}, local.RunConfig{})
 	if err != nil {
 		return nil, stats, err

@@ -181,40 +181,6 @@ func CanonicalDirection(g *graph.Graph, t *Trail) bool {
 	return g.ID(t.Nodes[bestPos]) > g.ID(t.Nodes[bestPos+1])
 }
 
-// Walk follows the trail containing firstEdge, starting at startNode and
-// traversing firstEdge first, for at most maxSteps edges. It returns the
-// visited node sequence (beginning with startNode) aligned with the edge
-// sequence, and wrapped=true if the walk returned to its starting directed
-// edge (the trail is closed and fully traversed). It works on any graph —
-// in particular on the subgraph of a LOCAL view, where pairings of nodes
-// with complete neighborhoods agree with the host graph's.
-func Walk(g *graph.Graph, startNode, firstEdge, maxSteps int) (nodes, edges []int, wrapped bool) {
-	size := max(maxSteps, 0) + 1 // a walk visits at most maxSteps+1 nodes
-	return walk(g, startNode, firstEdge, maxSteps, make([]int, 0, size), make([]int, 0, size))
-}
-
-// walk is Walk writing the visited nodes and edges into the given buffers
-// (from their start, growing them as needed) and returning them.
-func walk(g *graph.Graph, startNode, firstEdge, maxSteps int, nodes, edges []int) ([]int, []int, bool) {
-	nodes = append(nodes[:0], startNode)
-	edges = edges[:0]
-	cur, curEdge := startNode, firstEdge
-	for step := 0; step < maxSteps; step++ {
-		next := g.Other(curEdge, cur)
-		nodes = append(nodes, next)
-		edges = append(edges, curEdge)
-		p := partnerAt(g, next, curEdge)
-		if p == -1 {
-			return nodes, edges, false
-		}
-		if p == firstEdge && next == startNode {
-			return nodes, edges, true
-		}
-		cur, curEdge = next, p
-	}
-	return nodes, edges, false
-}
-
 // Balanced returns the exact almost-balanced orientation of g obtained by
 // orienting every trail in its canonical direction — the centralized
 // baseline (and the solution every advice schema encodes).

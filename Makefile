@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTableBinary -fuzztime=30s ./internal/persist
 	$(GO) test -fuzz=FuzzDecompose -fuzztime=30s ./internal/decomp
 	$(GO) test -fuzz=FuzzSolveDeterministic -fuzztime=30s ./internal/lll
+	$(GO) test -fuzz=FuzzSolveKColoring -fuzztime=30s ./internal/coloring
 
 # Full benchmark sweep, recorded as BENCH_<date>.json for regression tracking.
 bench:

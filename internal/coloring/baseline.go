@@ -33,7 +33,10 @@ func NoAdviceColoring(g *graph.Graph, k int) (*lcl.Solution, local.Stats, error)
 			}
 		}
 		sub, orig := g.InducedSubgraph(members)
-		colors, ok := SolveKColoring(sub, k)
+		colors, ok, err := kColoring(sub, k, searchBudget)
+		if err != nil {
+			return nil, local.Stats{}, fmt.Errorf("coloring: component %d: %w", c, err)
+		}
 		if !ok {
 			return nil, local.Stats{}, fmt.Errorf("coloring: component %d is not %d-colorable", c, k)
 		}

@@ -55,11 +55,10 @@ func (t ThreeColoring) buildSelectSystem(g *graph.Graph) (*selectSystem, error) 
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
-	base, ok := Solve3Coloring(g)
-	if !ok {
-		return nil, fmt.Errorf("coloring: graph is not 3-colorable")
+	phi, err := greedyBase(g)
+	if err != nil {
+		return nil, err
 	}
-	phi := Greedify(g, base)
 	bit := make([]int, g.N())
 	for v, c := range phi {
 		if c == 1 {

@@ -80,105 +80,20 @@ func (t ThreeColoring) validate() error {
 	return nil
 }
 
-// Solve3Coloring finds a proper 3-coloring, or reports that none exists —
-// the prover's ground truth. It uses DSATUR-ordered backtracking with
-// forward checking, which handles the experiment graphs in milliseconds.
-func Solve3Coloring(g *graph.Graph) ([]int, bool) {
-	return SolveKColoring(g, 3)
-}
-
-// SolveKColoring finds a proper K-coloring by exact search: always branch
-// on the node with the fewest remaining colors (most saturated), prune as
-// soon as any uncolored node runs out of options.
-func SolveKColoring(g *graph.Graph, k int) ([]int, bool) {
-	n := g.N()
-	colors := make([]int, n)
-	full := uint32(1)<<uint(k) - 1
-	avail := make([]uint32, n)
-	for v := range avail {
-		avail[v] = full
-	}
-	var solve func(remaining int) bool
-	solve = func(remaining int) bool {
-		if remaining == 0 {
-			return true
-		}
-		// Most-constrained uncolored node; ties toward higher degree.
-		best := -1
-		for v := 0; v < n; v++ {
-			if colors[v] != 0 {
-				continue
-			}
-			if best == -1 ||
-				popcount(avail[v]) < popcount(avail[best]) ||
-				popcount(avail[v]) == popcount(avail[best]) && g.Degree(v) > g.Degree(best) {
-				best = v
-			}
-		}
-		if avail[best] == 0 {
-			return false
-		}
-		for c := 1; c <= k; c++ {
-			bit := uint32(1) << uint(c-1)
-			if avail[best]&bit == 0 {
-				continue
-			}
-			colors[best] = c
-			var changed []int
-			feasible := true
-			for _, w := range g.Neighbors(best) {
-				if colors[w] == 0 && avail[w]&bit != 0 {
-					avail[w] &^= bit
-					changed = append(changed, w)
-					if avail[w] == 0 {
-						feasible = false
-					}
-				}
-			}
-			if feasible && solve(remaining-1) {
-				return true
-			}
-			colors[best] = 0
-			for _, w := range changed {
-				avail[w] |= bit
-			}
-		}
-		return false
-	}
-	if !solve(n) {
-		return nil, false
-	}
-	return colors, true
-}
-
-func popcount(x uint32) int {
-	c := 0
-	for ; x != 0; x &= x - 1 {
-		c++
-	}
-	return c
-}
-
 // Greedify turns any proper coloring into a greedy one: repeatedly recolor
 // any node of color i that lacks a neighbor of some color j < i down to the
 // smallest such j. Colors only decrease, so this terminates; the result is
 // proper and greedy.
 func Greedify(g *graph.Graph, colors []int) []int {
 	out := append([]int(nil), colors...)
+	nbr := newNeighborColors(g)
 	changed := true
 	for changed {
 		changed = false
 		for v := 0; v < g.N(); v++ {
-			present := map[int]bool{}
-			for _, w := range g.Neighbors(v) {
-				present[out[w]] = true
-			}
-			for j := 1; j < out[v]; j++ {
-				if !present[j] {
-					out[v] = j
-					changed = true
-					break
-				}
+			if j := nbr.smallestMissing(g, out, v); j < out[v] {
+				out[v] = j
+				changed = true
 			}
 		}
 	}
@@ -188,18 +103,41 @@ func Greedify(g *graph.Graph, colors []int) []int {
 // IsGreedy reports whether every node of color i has neighbors of all
 // colors below i.
 func IsGreedy(g *graph.Graph, colors []int) bool {
+	nbr := newNeighborColors(g)
 	for v := 0; v < g.N(); v++ {
-		present := map[int]bool{}
-		for _, w := range g.Neighbors(v) {
-			present[colors[w]] = true
-		}
-		for j := 1; j < colors[v]; j++ {
-			if !present[j] {
-				return false
-			}
+		if nbr.smallestMissing(g, colors, v) < colors[v] {
+			return false
 		}
 	}
 	return true
+}
+
+// neighborColors finds the smallest color missing around a node with one
+// color-indexed stamp slice. Only colors 1..Δ+1 can matter: a node of
+// degree d always misses one of 1..d+1.
+type neighborColors struct {
+	seen  []int // seen[c] == stamp: some neighbor has color c
+	stamp int
+}
+
+func newNeighborColors(g *graph.Graph) *neighborColors {
+	return &neighborColors{seen: make([]int, g.MaxDegree()+2)}
+}
+
+// smallestMissing returns the smallest color j >= 1 that no neighbor of v
+// has under colors.
+func (nc *neighborColors) smallestMissing(g *graph.Graph, colors []int, v int) int {
+	nc.stamp++
+	for _, w := range g.Neighbors(v) {
+		if c := colors[w]; c >= 1 && c < len(nc.seen) {
+			nc.seen[c] = nc.stamp
+		}
+	}
+	j := 1
+	for nc.seen[j] == nc.stamp {
+		j++
+	}
+	return j
 }
 
 // markGroup is one group's bookkeeping during encoding.
@@ -212,11 +150,10 @@ func (t ThreeColoring) Encode(g *graph.Graph) (local.Advice, error) {
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
-	base, ok := Solve3Coloring(g)
-	if !ok {
-		return nil, fmt.Errorf("coloring: graph is not 3-colorable")
+	phi, err := greedyBase(g)
+	if err != nil {
+		return nil, err
 	}
-	phi := Greedify(g, base)
 
 	bit := make([]int, g.N())
 	for v, c := range phi {

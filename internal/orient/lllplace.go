@@ -3,6 +3,7 @@ package orient
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"localadvice/internal/bitstr"
@@ -86,41 +87,59 @@ func (s Schema) buildShiftSystem(g *graph.Graph) (*shiftSystem, error) {
 	sys := &shiftSystem{schema: s, dec: dec, plans: plans}
 
 	// Conflicts: two pairs sharing a node, or a node of one pair adjacent
-	// to a node of the other (the role-ambiguity rule of schema.go).
-	// Precompute which plan pairs can interact at all: their reachable
-	// node sets within the shift window must come within distance 1.
+	// to a node of the other (the role-ambiguity rule of schema.go). Only
+	// plans whose reach sets meet can interact; a plan's reach is every
+	// node a shift within the window can mark, plus their neighbors.
+	// Reach sets are sorted slices in one CSR layout, inverted into the
+	// plans that reach each node, and each plan's partners are emitted in
+	// increasing order: the events are numbered as the all-pairs scan in
+	// (i, j) order numbers them, which fixes Moser–Tardos' lowest-index
+	// resampling and the deterministic solver's variable order.
 	window := s.P.MarkWindow
-	reach := make([]map[int]bool, len(plans))
+	var reach []int
+	reachOff := make([]int, 1, len(plans)+1)
 	for i := range plans {
-		reach[i] = map[int]bool{}
+		start := len(reach)
 		for sft := 0; sft < window; sft++ {
 			if a, bnode, ok := sys.pairAt(i, sft); ok {
-				reach[i][a] = true
-				reach[i][bnode] = true
-				for _, u := range g.Neighbors(a) {
-					reach[i][u] = true
-				}
-				for _, u := range g.Neighbors(bnode) {
-					reach[i][u] = true
-				}
+				reach = append(reach, a, bnode)
+				reach = append(reach, g.Neighbors(a)...)
+				reach = append(reach, g.Neighbors(bnode)...)
 			}
+		}
+		slices.Sort(reach[start:])
+		reach = reach[:start+len(slices.Compact(reach[start:]))]
+		reachOff = append(reachOff, len(reach))
+	}
+	reachOf := func(i int) []int { return reach[reachOff[i]:reachOff[i+1]] }
+	byNodeOff := make([]int, g.N()+1)
+	for _, v := range reach {
+		byNodeOff[v+1]++
+	}
+	for v := 0; v < g.N(); v++ {
+		byNodeOff[v+1] += byNodeOff[v]
+	}
+	byNode, next := make([]int, len(reach)), slices.Clone(byNodeOff[:g.N()])
+	for i := range plans {
+		for _, v := range reachOf(i) {
+			byNode[next[v]] = i
+			next[v]++
 		}
 	}
 	type pairEvent struct{ i, j int }
 	var pairs []pairEvent
+	paired := make([]int, len(plans)) // paired[j] == i+1: (i, j) is emitted
 	for i := range plans {
-		for j := i + 1; j < len(plans); j++ {
-			touch := false
-			for v := range reach[j] {
-				if reach[i][v] {
-					touch = true
-					break
+		first := len(pairs)
+		for _, v := range reachOf(i) {
+			for _, j := range byNode[byNodeOff[v]:byNodeOff[v+1]] {
+				if j > i && paired[j] != i+1 {
+					paired[j] = i + 1
+					pairs = append(pairs, pairEvent{i, j})
 				}
 			}
-			if touch {
-				pairs = append(pairs, pairEvent{i, j})
-			}
 		}
+		slices.SortFunc(pairs[first:], func(x, y pairEvent) int { return x.j - y.j })
 	}
 
 	conflict := func(i, si, j, sj int) bool {
@@ -129,18 +148,7 @@ func (s Schema) buildShiftSystem(g *graph.Graph) (*shiftSystem, error) {
 		if !oki || !okj {
 			return true // a clamped-out plan is itself a violation
 		}
-		nodes := map[int]bool{ai: true, bi: true}
-		if nodes[aj] || nodes[bj] {
-			return true
-		}
-		for _, v := range []int{aj, bj} {
-			for _, u := range g.Neighbors(v) {
-				if nodes[u] {
-					return true
-				}
-			}
-		}
-		return false
+		return nearPair(g, ai, bi, aj) || nearPair(g, ai, bi, bj)
 	}
 
 	// Events 0..P-1 are the per-plan clamp events (bad iff the shift pushes
@@ -167,6 +175,19 @@ func (s Schema) buildShiftSystem(g *graph.Graph) (*shiftSystem, error) {
 		},
 	}
 	return sys, nil
+}
+
+// nearPair reports whether v is a or b, or adjacent to one of them.
+func nearPair(g *graph.Graph, a, b, v int) bool {
+	if v == a || v == b {
+		return true
+	}
+	for _, u := range g.Neighbors(v) {
+		if u == a || u == b {
+			return true
+		}
+	}
+	return false
 }
 
 // materialize turns a solved shift assignment into the advice layout of

@@ -316,6 +316,25 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestEncodeSearchBudget pins the color3 prover's fail-closed search. On
+// this random 4-regular graph the exact 3-coloring search backtracks
+// without end in sight; once it exhausts its budget, /v1/encode answers
+// 422 unencodable instead of holding an in-flight slot indefinitely.
+func TestEncodeSearchBudget(t *testing.T) {
+	s := newTestServer(t, Config{})
+	w := doReq(t, s, "POST", "/v1/encode", `{"schema":"color3","graph":{"family":"regular","n":240,"seed":4}}`)
+	body := w.Body.String()
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422 (body: %s)", w.Code, body)
+	}
+	if got := errCode(t, body); got != "unencodable" {
+		t.Errorf("error code = %q, want unencodable", got)
+	}
+	if !strings.Contains(body, "search budget exhausted") {
+		t.Errorf("body does not name the exhausted search budget: %s", body)
+	}
+}
+
 // TestStatsShape pins the /v1/stats fields bench.sh and loadgen scrape.
 func TestStatsShape(t *testing.T) {
 	s := newTestServer(t, Config{})

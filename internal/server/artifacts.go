@@ -77,7 +77,7 @@ func (s *Server) handleExport(r *http.Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	advice, _, err := s.encodeAdvice(sc, cg, true, "export")
+	adv, _, err := s.encodeAdvice(sc, cg, true, "export")
 	if err != nil {
 		return nil, err
 	}
@@ -86,16 +86,15 @@ func (s *Server) handleExport(r *http.Request) ([]byte, error) {
 		key     string
 		payload []byte
 	}
-	records := []record{{artifactAdvice, adviceKey(sc, cg), persist.EncodeAdvice(advice)}}
+	records := []record{{artifactAdvice, adviceKey(sc, cg), persist.EncodeAdvice(adv.advice)}}
 	if sc.Compile != nil && sc.TableEncode != nil {
-		advDigest := sha256hex(adviceStrings(advice)...)
-		table, err := s.resolveTable(sc, cg, advice, advDigest, true, "export")
+		table, err := s.resolveTable(sc, cg, adv.advice, adv.digest, true, "export")
 		if err != nil {
 			return nil, err
 		}
 		var buf bytes.Buffer
 		if err := table.SaveBinary(&buf, sc.TableEncode); err == nil {
-			records = append(records, record{artifactTable, tableKey(sc, cg, advDigest), buf.Bytes()})
+			records = append(records, record{artifactTable, tableKey(sc, cg, adv.digest), buf.Bytes()})
 		}
 	}
 
@@ -174,7 +173,8 @@ func (s *Server) handleImport(r *http.Request) (any, error) {
 				return nil, errf(http.StatusUnprocessableEntity, "bad_artifact",
 					"record %d: bad advice payload: %v", i, err)
 			}
-			pending = append(pending, insertion{key, advice, adviceSize(advice), payload, persist.KindAdvice})
+			// The same resident type encodeAdvice caches under advice: keys.
+			pending = append(pending, insertion{key, newAdviceArtifact(advice), adviceSize(advice), payload, persist.KindAdvice})
 		case artifactTable:
 			if sc.TableDecode == nil {
 				return nil, errf(http.StatusUnprocessableEntity, "bad_artifact",

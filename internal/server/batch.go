@@ -42,7 +42,6 @@ import (
 	"net/http"
 	"time"
 
-	"localadvice/internal/lcl"
 	"localadvice/internal/local"
 	"localadvice/internal/persist"
 )
@@ -555,13 +554,7 @@ func appendLabelRun(out []byte, labels []int) []byte {
 // labels (empty run unless the schema labeled an edge, mirroring
 // DecodeResponse.EdgeLabels), rounds, messages, table entries, cached flag.
 func renderExtPayload(art *decodeArtifact, hit bool) []byte {
-	edge := []int(nil)
-	for _, l := range art.sol.Edge {
-		if l != lcl.Unset {
-			edge = art.sol.Edge
-			break
-		}
-	}
+	edge := art.edgeLabels()
 	out := make([]byte, 0, 21+4*(len(art.sol.Node)+len(edge)))
 	out = appendLabelRun(out, art.sol.Node)
 	out = appendLabelRun(out, edge)
@@ -592,12 +585,11 @@ func renderExtError(err error) []byte {
 // batchServerDecode resolves the server-advice decode once per batch; the
 // rendered answer is reused verbatim for every mode-0 item.
 func (s *Server) batchServerDecode(sc *schemaEntry, cg *cachedGraph, cached bool) (*decodeArtifact, bool, error) {
-	advice, _, err := s.encodeAdvice(sc, cg, cached, "batch")
+	adv, _, err := s.encodeAdvice(sc, cg, cached, "batch")
 	if err != nil {
 		return nil, false, err
 	}
-	advDigest := sha256hex(adviceStrings(advice)...)
-	return s.decodeSolution(sc, cg, advice, advDigest, cached, "batch")
+	return s.decodeSolution(sc, cg, adv.advice, adv.digest, cached, "batch")
 }
 
 // batchInlineDecode handles a mode-1 item: binary advice in, labels out.
@@ -610,6 +602,9 @@ func (s *Server) batchInlineDecode(sc *schemaEntry, cg *cachedGraph, inline []by
 		return nil, false, fmt.Errorf("advice covers %d nodes, graph has %d: %w",
 			len(advice), cg.g.N(), local.ErrAdviceLength)
 	}
-	advDigest := sha256hex(adviceStrings(advice)...)
+	var advDigest string
+	if cached { // a frame without the cache flag reads no key
+		advDigest = adviceDigest(advice)
+	}
 	return s.decodeSolution(sc, cg, advice, advDigest, cached, "batch")
 }

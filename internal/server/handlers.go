@@ -3,8 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -70,11 +74,101 @@ type cachedGraph struct {
 	seed int64
 }
 
+// adviceArtifact is the resident form of encoded advice: the assignment and
+// its digest (adviceDigest), computed once when the artifact is made — by
+// an encode, a store load or an import — so a warm decode reads it instead
+// of hashing n nodes again. Cache-off requests build no key, so their
+// artifacts carry no digest.
+type adviceArtifact struct {
+	advice local.Advice
+	digest string
+}
+
+func newAdviceArtifact(advice local.Advice) *adviceArtifact {
+	return &adviceArtifact{advice: advice, digest: adviceDigest(advice)}
+}
+
 // decodeArtifact is the resident form of a decode result.
 type decodeArtifact struct {
 	sol          *lcl.Solution
 	stats        local.Stats
 	tableEntries int // size of the compiled eth.Table, when one was used
+	// body is the /v1/decode response, rendered once (render): everything
+	// json.Marshal(DecodeResponse) writes except the per-request values of
+	// "cached" (which goes at split) and "elapsed_nanos" (which goes at the
+	// end). Nil until rendered; batch items that bypass the cache skip it.
+	body  []byte
+	split int
+}
+
+// edgeLabels is the solution's edge labeling, or nil when the schema
+// labeled no edge (DecodeResponse.EdgeLabels is then omitted).
+func (a *decodeArtifact) edgeLabels() []int {
+	for _, l := range a.sol.Edge {
+		if l != lcl.Unset {
+			return a.sol.Edge
+		}
+	}
+	return nil
+}
+
+// render fills body with the artifact's response fields, in the order and
+// spelling json.Marshal gives DecodeResponse (TestDecodeBodyMatchesMarshal
+// holds them to it).
+func (a *decodeArtifact) render(schema, graphDigest string) {
+	edge := a.edgeLabels()
+	name, _ := json.Marshal(schema) // marshaling a string cannot fail
+	digest, _ := json.Marshal(graphDigest)
+	// Labels are small integers: most take at most three bytes and a comma.
+	b := make([]byte, 0, 192+len(name)+len(digest)+4*(len(a.sol.Node)+len(edge)))
+	b = append(b, `{"schema":`...)
+	b = append(b, name...)
+	b = append(b, `,"graph_digest":`...)
+	b = append(b, digest...)
+	b = append(b, `,"labels":`...)
+	b = appendJSONInts(b, a.sol.Node)
+	if len(edge) > 0 {
+		b = append(b, `,"edge_labels":`...)
+		b = appendJSONInts(b, edge)
+	}
+	b = append(b, `,"rounds":`...)
+	b = strconv.AppendInt(b, int64(a.stats.Rounds), 10)
+	b = append(b, `,"messages":`...)
+	b = strconv.AppendInt(b, int64(a.stats.Messages), 10)
+	b = append(b, `,"verified":true,"cached":`...)
+	a.split = len(b)
+	if a.tableEntries != 0 {
+		b = append(b, `,"table_entries":`...)
+		b = strconv.AppendInt(b, int64(a.tableEntries), 10)
+	}
+	a.body = append(b, `,"elapsed_nanos":`...)
+}
+
+// response assembles one request's /v1/decode body from the rendered
+// fields, byte for byte json.Marshal(DecodeResponse) and a newline.
+// Concurrent requests share body, so each copies it into its own buffer.
+func (a *decodeArtifact) response(hit bool, elapsedNanos int64) jsonBody {
+	b := make([]byte, 0, len(a.body)+len(`false}`)+24)
+	b = append(b, a.body[:a.split]...)
+	b = strconv.AppendBool(b, hit)
+	b = append(b, a.body[a.split:]...)
+	b = strconv.AppendInt(b, elapsedNanos, 10)
+	return append(b, "}\n"...)
+}
+
+// appendJSONInts appends labels as json.Marshal renders an []int.
+func appendJSONInts(b []byte, labels []int) []byte {
+	if labels == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, l := range labels {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(l), 10)
+	}
+	return append(b, ']')
 }
 
 // useCache reads a request's optional "cache" field (default true). The
@@ -211,8 +305,9 @@ func adviceSize(a local.Advice) int64 {
 	return 64 + 24*int64(len(a)) + int64(a.TotalBits())
 }
 
-func solutionSize(sol *lcl.Solution) int64 {
-	return 64 + 8*int64(len(sol.Node)+len(sol.Edge))
+// solutionSize counts a decode artifact's labels and its rendered body.
+func solutionSize(art *decodeArtifact) int64 {
+	return 64 + 8*int64(len(art.sol.Node)+len(art.sol.Edge)) + int64(cap(art.body))
 }
 
 // adviceStrings renders advice as one "0101" string per node.
@@ -222,6 +317,30 @@ func adviceStrings(a local.Advice) []string {
 		out[v] = s.String()
 	}
 	return out
+}
+
+// adviceDigest is the advice component of decode: and table: keys: the hex
+// SHA-256 of every node's bits as '0'/'1' text, each node's text followed by
+// a 0 byte — byte for byte sha256hex(adviceStrings(a)...), the form stored
+// table keys were written with (DESIGN.md decision 7). It streams the bits
+// through one buffer rather than building a string per node. Request advice
+// hashes the same: bitstr.Parse accepts only '0' and '1', so the request's
+// text is String() of what it parsed to.
+func adviceDigest(a local.Advice) string {
+	h := sha256.New()
+	buf := make([]byte, 0, 4096)
+	for _, s := range a {
+		if len(buf)+s.Len()+1 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		for i := 0; i < s.Len(); i++ {
+			buf = append(buf, '0'+byte(s.Bit(i)))
+		}
+		buf = append(buf, 0)
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // parseAdvice converts request advice strings into a dense assignment.
@@ -249,12 +368,12 @@ func parseAdvice(g *graph.Graph, strs []string) (local.Advice, error) {
 // store before falling back to the engine, so disk-load and compute share
 // one singleflight call: a startup stampede of N identical requests loads
 // or computes each advice assignment at most once.
-func (s *Server) encodeAdvice(sc *schemaEntry, cg *cachedGraph, cached bool, src string) (local.Advice, bool, error) {
+func (s *Server) encodeAdvice(sc *schemaEntry, cg *cachedGraph, cached bool, src string) (*adviceArtifact, bool, error) {
 	key := adviceKey(sc, cg)
 	v, hit, err := s.doCached(key, cached, src, func() (any, int64, error) {
 		if cached {
 			if advice, ok := s.storeLoadAdvice(key, cg.g); ok {
-				return advice, adviceSize(advice), nil
+				return newAdviceArtifact(advice), adviceSize(advice), nil
 			}
 		}
 		s.engineComputes.Add(1)
@@ -271,21 +390,25 @@ func (s *Server) encodeAdvice(sc *schemaEntry, cg *cachedGraph, cached bool, src
 			return nil, 0, errf(http.StatusUnprocessableEntity, "unencodable",
 				"%s encode on this graph: %v", sc.Name, err)
 		}
-		if cached {
-			s.storePut(key, persist.KindAdvice, persist.EncodeAdvice(advice))
+		if !cached {
+			return &adviceArtifact{advice: advice}, adviceSize(advice), nil
 		}
-		return advice, adviceSize(advice), nil
+		s.storePut(key, persist.KindAdvice, persist.EncodeAdvice(advice))
+		return newAdviceArtifact(advice), adviceSize(advice), nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	return v.(local.Advice), hit, nil
+	return v.(*adviceArtifact), hit, nil
 }
 
 // decodeSolution runs (or recalls) the verified decode of advice on the
 // graph. Table-compiled schemas go through a cached eth.Table; either way
 // the decoded output is verified against the schema's problem before it is
-// cached or returned, so a cached solution is always a valid one.
+// cached or returned, so a cached solution is always a valid one. Every
+// artifact it caches carries its rendered /v1/decode body; a cache-off
+// artifact is the caller's alone, and only a JSON caller renders it.
+// advDigest is read only when cached.
 func (s *Server) decodeSolution(sc *schemaEntry, cg *cachedGraph, advice local.Advice, advDigest string, cached bool, src string) (*decodeArtifact, bool, error) {
 	key := "decode:" + cg.digest + ":" + sc.Name + "@" + sc.Params + ":" + advDigest
 	v, hit, err := s.doCached(key, cached, src, func() (any, int64, error) {
@@ -293,7 +416,10 @@ func (s *Server) decodeSolution(sc *schemaEntry, cg *cachedGraph, advice local.A
 		if err != nil {
 			return nil, 0, err
 		}
-		return art, solutionSize(art.sol), nil
+		if cached {
+			art.render(sc.Name, cg.digest)
+		}
+		return art, solutionSize(art), nil
 	})
 	if err != nil {
 		return nil, false, err
@@ -451,7 +577,7 @@ func (s *Server) handleEncode(ctx context.Context, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	advice, hit, err := s.encodeAdvice(sc, cg, cached, "encode")
+	adv, hit, err := s.encodeAdvice(sc, cg, cached, "encode")
 	if err != nil {
 		return nil, err
 	}
@@ -459,9 +585,9 @@ func (s *Server) handleEncode(ctx context.Context, r *http.Request) (any, error)
 		Schema:      sc.Name,
 		GraphDigest: cg.digest,
 		N:           cg.g.N(),
-		Advice:      adviceStrings(advice),
-		TotalBits:   advice.TotalBits(),
-		Holders:     len(advice.BitHolders()),
+		Advice:      adviceStrings(adv.advice),
+		TotalBits:   adv.advice.TotalBits(),
+		Holders:     len(adv.advice.BitHolders()),
 		Cached:      hit,
 		ElapsedNano: time.Since(start).Nanoseconds(),
 	}, nil
@@ -510,40 +636,29 @@ func (s *Server) handleDecode(ctx context.Context, r *http.Request) (any, error)
 		return nil, err
 	}
 	var advice local.Advice
+	var advDigest string
 	if req.Advice != nil {
-		advice, err = parseAdvice(cg.g, req.Advice)
-		if err != nil {
+		if advice, err = parseAdvice(cg.g, req.Advice); err != nil {
 			return nil, err
+		}
+		if cached {
+			advDigest = adviceDigest(advice)
 		}
 	} else {
-		advice, _, err = s.encodeAdvice(sc, cg, cached, "decode")
+		adv, _, err := s.encodeAdvice(sc, cg, cached, "decode")
 		if err != nil {
 			return nil, err
 		}
+		advice, advDigest = adv.advice, adv.digest
 	}
-	advDigest := sha256hex(adviceStrings(advice)...)
 	art, hit, err := s.decodeSolution(sc, cg, advice, advDigest, cached, "decode")
 	if err != nil {
 		return nil, err
 	}
-	resp := &DecodeResponse{
-		Schema:       sc.Name,
-		GraphDigest:  cg.digest,
-		Labels:       art.sol.Node,
-		Rounds:       art.stats.Rounds,
-		Messages:     art.stats.Messages,
-		Verified:     true,
-		Cached:       hit,
-		TableEntries: art.tableEntries,
-		ElapsedNano:  time.Since(start).Nanoseconds(),
+	if !cached {
+		art.render(sc.Name, cg.digest)
 	}
-	for _, l := range art.sol.Edge {
-		if l != lcl.Unset {
-			resp.EdgeLabels = art.sol.Edge
-			break
-		}
-	}
-	return resp, nil
+	return art.response(hit, time.Since(start).Nanoseconds()), nil
 }
 
 // VerifyRequest is the body of POST /v1/verify: a candidate labeling to

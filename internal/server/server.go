@@ -264,17 +264,26 @@ type errorBody struct {
 	Code  string `json:"code"`
 }
 
+// jsonBody is a response already rendered as JSON, trailing newline
+// included: writeJSON writes it as it is instead of marshaling. The decode
+// handler answers with one (decodeArtifact.response).
+type jsonBody []byte
+
 func writeJSON(w http.ResponseWriter, status int, v any) int {
-	data, err := json.Marshal(v)
-	if err != nil {
-		// Marshaling our own response types cannot fail; keep the contract
-		// anyway without leaking the error.
-		status = http.StatusInternalServerError
-		data = []byte(`{"error":"internal error","code":"internal"}`)
+	data, rendered := v.(jsonBody)
+	if !rendered {
+		var err error
+		if data, err = json.Marshal(v); err != nil {
+			// Marshaling our own response types cannot fail; keep the
+			// contract anyway without leaking the error.
+			status = http.StatusInternalServerError
+			data = []byte(`{"error":"internal error","code":"internal"}`)
+		}
+		data = append(data, '\n')
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
+	w.Write(data)
 	return status
 }
 
@@ -375,9 +384,22 @@ func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, h handlerFunc)
 	}
 }
 
-// decodeBody parses the JSON request body into dst.
+// decodeBody parses the JSON request body into dst. The body is one JSON
+// object: anything but whitespace after it is malformed (400), as
+// json.Unmarshal judges it. Unknown fields are accepted.
 func decodeBody(r *http.Request, dst any) error {
-	return json.NewDecoder(r.Body).Decode(dst)
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return err
+		}
+		return errf(http.StatusBadRequest, "bad_json", "malformed JSON request: data after the request object")
+	}
+	return nil
 }
 
 func sha256hex(parts ...string) string {

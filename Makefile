@@ -1,7 +1,6 @@
 GO ?= go
-DATE := $(shell date +%F)
 
-.PHONY: all build test check check-race cover fuzz bench bench-msg exp serve-smoke clean
+.PHONY: all build test check check-race cover fuzz bench exp serve-smoke clean
 
 all: build
 
@@ -12,14 +11,15 @@ test:
 	$(GO) test ./...
 
 # CI gate: vet, gofmt (any file `gofmt -l` lists fails the gate), the full
-# suite (which replays every fuzz seed corpus), a race-enabled run of the
-# engine-equivalence, scratch-reuse and fault-injection property tests — the
-# tests most likely to catch a data race introduced in the parallel engines
-# and their pooled per-worker state — plus the serving layer's concurrency
-# tests (cache singleflight, shutdown drain, load shedding) under the race
-# detector, the serve round-trip smoke, the benchmark-regression comparison
-# against the newest recorded BENCH_*.json baseline, and the per-package
-# coverage floor.
+# suite (which replays every fuzz seed corpus and runs the exact-count pins:
+# goldens, message and round counts, allocations per run), a race-enabled
+# run of the engine-equivalence, scratch-reuse and fault-injection property
+# tests — the tests most likely to catch a data race introduced in the
+# parallel engines and their pooled per-worker state — plus the serving
+# layer's concurrency tests (cache singleflight, shutdown drain, load
+# shedding) under the race detector, the serve round-trip smoke, and the
+# per-package coverage floor. Nothing in it compares a wall-clock time, so
+# it gives the same result on any host; timing belongs to `make bench`.
 check:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
@@ -27,7 +27,6 @@ check:
 	$(GO) test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp|Deterministic|RunDecider' ./internal/local ./internal/fault ./internal/decomp ./internal/lll ./internal/growth ./internal/eth ./internal/orient ./internal/coloring
 	$(GO) test -race -count=1 -run 'Race|Singleflight|Property|Flush|Cached' ./internal/server ./internal/cache ./internal/cluster
 	$(MAKE) serve-smoke
-	LOCAD_BENCH_REGRESSION=1 $(GO) test -count=1 -run TestBenchRegression .
 	$(MAKE) cover
 
 # Per-package coverage floor: the packages at the heart of the reproduction
@@ -78,14 +77,13 @@ fuzz:
 	$(GO) test -fuzz=FuzzSolveDeterministic -fuzztime=30s ./internal/lll
 	$(GO) test -fuzz=FuzzSolveKColoring -fuzztime=30s ./internal/coloring
 
-# Full benchmark sweep, recorded as BENCH_<date>.json for regression tracking.
+# The benchmark of record: each perfbench workload once at seed 1. Each run
+# prints its result as the last line of its output (perfbench/README.md).
+# Compare two commits with alternating runs of one workload, not with a
+# stored result. The Go micro-benchmarks in bench_test.go are for profiling:
+# go test -run '^$' -bench <regex> -benchmem .
 bench:
-	scripts/bench.sh BENCH_$(DATE).json
-
-# Message-engine + LLL subset (sharded scheduler, sequential and frugal
-# engines, Moser-Tardos resampling throughput), recorded the same way.
-bench-msg:
-	scripts/bench.sh BENCH_$(DATE)_msg.json 'Engine|MessageEngine|MoserTardos|LLL'
+	for w in hot-decode new-graphs batch-decompress exp-tables; do python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; done
 
 # Serving-layer smoke: build locad, start `locad serve` on an ephemeral
 # port, drive it with a short loadgen, scrape /v1/stats, and check that

@@ -149,7 +149,7 @@ func cmdCluster(args []string) error {
 // spawnShard starts one `locad serve` child and waits for its listen line
 // to learn the bound address.
 func spawnShard(exe, name string, args []string) (*shardProc, error) {
-	cmd, addr, err := spawnAwaitLine(exe, args, "locad serve: listening on ", 30*time.Second, false)
+	cmd, addr, err := spawnAwaitLine(exe, args, "locad serve: listening on ", 30*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -159,21 +159,12 @@ func spawnShard(exe, name string, args []string) (*shardProc, error) {
 // spawnAwaitLine starts a locad child process and scans its stdout for a
 // line with the given prefix, returning the remainder (the bound address).
 // The child's stderr passes through; its stdout keeps draining after the
-// match so the child never blocks on a full pipe.
-//
-// With ownGroup the child leads a fresh process group that its own children
-// inherit (a spawned `locad cluster` and its shards), so the last-resort
-// SIGKILL in terminateProc reaches the whole tree instead of orphaning
-// grandchildren. On the error paths here the child is terminated
-// gracefully — SIGTERM, a reaping grace period, then SIGKILL — rather than
-// the old immediate Kill, which gave a half-started cluster no chance to
-// run its own shard-teardown defer.
-func spawnAwaitLine(exe string, args []string, prefix string, timeout time.Duration, ownGroup bool) (*exec.Cmd, string, error) {
+// match so the child never blocks on a full pipe. On the error paths here
+// the child is terminated gracefully — SIGTERM, a reaping grace period,
+// then SIGKILL — so it can still run its own shutdown.
+func spawnAwaitLine(exe string, args []string, prefix string, timeout time.Duration) (*exec.Cmd, string, error) {
 	cmd := exec.Command(exe, args...)
 	cmd.Stderr = os.Stderr
-	if ownGroup {
-		cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, "", err
@@ -209,21 +200,19 @@ func spawnAwaitLine(exe string, args []string, prefix string, timeout time.Durat
 	}
 }
 
-// terminateProc ends a spawned child gracefully: SIGTERM (to its process
-// group when it leads one, so grandchildren hear it too), a bounded wait
+// terminateProc ends a spawned child gracefully: SIGTERM, a bounded wait
 // for the exit, then SIGKILL escalation. Reaps the child; callers must not
 // Wait again.
 func terminateProc(cmd *exec.Cmd, grace time.Duration) {
 	if cmd.Process == nil {
 		return
 	}
-	signalProc(cmd, syscall.SIGTERM)
+	cmd.Process.Signal(syscall.SIGTERM)
 	waitOrKill(cmd, grace)
 }
 
 // waitOrKill reaps a child that has already been told to exit, escalating
-// to SIGKILL (group-wide when the child leads a group) if it is still
-// running after the grace period.
+// to SIGKILL if it is still running after the grace period.
 func waitOrKill(cmd *exec.Cmd, grace time.Duration) {
 	if cmd.Process == nil {
 		return
@@ -239,19 +228,7 @@ func waitOrKill(cmd *exec.Cmd, grace time.Duration) {
 	select {
 	case <-done:
 	case <-time.After(grace):
-		signalProc(cmd, syscall.SIGKILL)
+		cmd.Process.Kill()
 		<-done
 	}
-}
-
-// signalProc signals the child's process group when it was spawned as a
-// group leader (falling back to the process if the group signal fails), or
-// just the process otherwise.
-func signalProc(cmd *exec.Cmd, sig syscall.Signal) {
-	if cmd.SysProcAttr != nil && cmd.SysProcAttr.Setpgid {
-		if syscall.Kill(-cmd.Process.Pid, sig) == nil {
-			return
-		}
-	}
-	cmd.Process.Signal(sig)
 }

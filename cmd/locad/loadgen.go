@@ -21,8 +21,8 @@ import (
 // parse/encode/compile/decode pipeline every time) and warm (cache on, the
 // steady-state serving path) — and reports throughput and latency
 // percentiles for each, plus their ratio. With -json the report is a single
-// JSON object (the shape scripts/bench.sh embeds under the "serve" key of
-// BENCH_*.json) and includes a /v1/stats scrape from the server.
+// JSON object that includes a /v1/stats scrape from the server; the serve
+// smoke test (scripts/serve_smoke.sh) checks its fields.
 func cmdLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "address of a running locad serve")
@@ -35,30 +35,16 @@ func cmdLoadgen(args []string) error {
 	jsonOut := fs.Bool("json", false, "emit the report as JSON on stdout")
 	batch := fs.Bool("batch", false, "add a binary /v1/batch phase (warm) to the run")
 	batchSize := fs.Int("batch-size", 256, "decode requests per batch frame")
-	probe := fs.Bool("probe", false, "send ONE warm decode and report its server-side latency + labels (restart-recovery measurement), then exit")
-	probeCold := fs.Bool("probe-cold", false, "with -probe: also measure engine recompute cost and report the recompute/disk-recovery ratio")
-	probeIters := fs.Int("probe-iters", 16, "with -probe-cold: flush/reload and recompute cycles to average the ratio over")
-	clusterSweep := fs.Bool("cluster", false, "spawn locad cluster fleets and sweep routed /v1/decode throughput across -cluster-shards sizes (ignores -addr)")
-	clusterShards := fs.String("cluster-shards", "1,2,4,8", "comma-separated fleet sizes for the -cluster sweep")
-	clusterSeeds := fs.Int("cluster-seeds", 16, "distinct graph seeds the cold cluster phase cycles (spreads keys across owners)")
-	hotThreshold := fs.Int("hot-threshold", 8, "cluster hot-key replication threshold passed to the spawned fleets")
+	probe := fs.Bool("probe", false, "send ONE warm decode and report its server-side latency, labels and a /v1/stats scrape (restart recovery), then exit")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *clusterSweep {
-		counts, err := parseShardCounts(*clusterShards)
-		if err != nil {
-			return err
-		}
-		return runClusterSweep(*schema, *family, *n, counts, *clusterSeeds, *concurrency, *duration, *hotThreshold, *jsonOut)
 	}
 
 	base := "http://" + *addr
 	client := newLoadgenClient()
 
 	if *probe {
-		return runProbe(client, base, *schema, *family, *n, *seed, *probeCold, *probeIters)
+		return runProbe(client, base, *schema, *family, *n, *seed)
 	}
 
 	type decodeReq struct {
@@ -220,162 +206,44 @@ func runBatchPhase(client *http.Client, base, schema, family string, n int, seed
 	}, nil
 }
 
-// runProbe measures ONE decode the way the restart benchmark needs it: the
-// server-side elapsed_nanos of the first warm request after a (re)start —
-// the store-load path when serve has a -store-dir — plus, with cold=true, a
-// cache-bypassing decode pricing the full recompute pipeline. Labels are
-// emitted comma-joined on one line so the smoke test can diff them across a
-// restart with grep.
-//
-// The recovery ratio isolates what persistence actually replaces: on a
-// freshly restarted server a warm decode's artifact acquisition is pure
-// disk load (the store's load_nanos), and a cache-bypassing decode's is
-// pure engine work (engine_compute_nanos — cache:false never touches the
-// store, so the two counters don't contaminate each other). A single
-// two-record load is dominated by fixed syscall noise, so the probe
-// averages: `iters` rounds of /v1/cache/flush + warm decode (each reloads
-// every artifact from disk — flush empties the LRU, not the store) and
-// `iters` cache-bypassing decodes, then reads the per-artifact mean of
-// each side off the server's cumulative counters.
-// recompute_over_restart is mean-engine-compute over mean-disk-load; the
-// whole-request latencies are reported alongside as context (they share
-// graph build + table run + verification, which persistence cannot
-// remove).
-func runProbe(client *http.Client, base, schema, family string, n int, seed int64, cold bool, iters int) error {
-	decodeOnce := func(cached bool) (int64, []int, error) {
-		body := fmt.Sprintf(`{"schema":%q,"graph":{"family":%q,"n":%d,"seed":%d},"cache":%v}`,
-			schema, family, n, seed, cached)
-		resp, err := client.Post(base+"/v1/decode", "application/json", strings.NewReader(body))
-		if err != nil {
-			return 0, nil, err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return 0, nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return 0, nil, fmt.Errorf("decode: HTTP %d: %s", resp.StatusCode, data)
-		}
-		var dr struct {
-			Labels      []int `json:"labels"`
-			ElapsedNano int64 `json:"elapsed_nanos"`
-		}
-		if err := json.Unmarshal(data, &dr); err != nil {
-			return 0, nil, err
-		}
-		return dr.ElapsedNano, dr.Labels, nil
-	}
-
-	firstNanos, labels, err := decodeOnce(true)
+// runProbe sends ONE warm decode and reports its server-side
+// elapsed_nanos, its labels and a /v1/stats scrape. On a server just
+// restarted on a -store-dir the decode is served from the store, so the
+// scrape's engine_computes stays 0. Labels are emitted comma-joined on one
+// line so the smoke test can diff them across a restart with grep.
+func runProbe(client *http.Client, base, schema, family string, n int, seed int64) error {
+	body := fmt.Sprintf(`{"schema":%q,"graph":{"family":%q,"n":%d,"seed":%d},"cache":true}`,
+		schema, family, n, seed)
+	resp, err := client.Post(base+"/v1/decode", "application/json", strings.NewReader(body))
 	if err != nil {
 		return err
 	}
-	parts := make([]string, len(labels))
-	for i, l := range labels {
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("decode: HTTP %d: %s", resp.StatusCode, data)
+	}
+	var dr struct {
+		Labels      []int `json:"labels"`
+		ElapsedNano int64 `json:"elapsed_nanos"`
+	}
+	if err := json.Unmarshal(data, &dr); err != nil {
+		return err
+	}
+	parts := make([]string, len(dr.Labels))
+	for i, l := range dr.Labels {
 		parts[i] = fmt.Sprint(l)
 	}
 	report := map[string]any{
 		"schema":             schema,
 		"graph":              map[string]any{"family": family, "n": n, "seed": seed},
-		"first_decode_nanos": firstNanos,
+		"first_decode_nanos": dr.ElapsedNano,
 		"labels":             strings.Join(parts, ","),
 	}
-	type probeCounters struct {
-		EngineComputes uint64 `json:"engine_computes"`
-		EngineNanos    int64  `json:"engine_compute_nanos"`
-		Store          *struct {
-			Hits      uint64 `json:"hits"`
-			Misses    uint64 `json:"misses"`
-			LoadNanos int64  `json:"load_nanos"`
-		} `json:"store"`
-	}
-	scrape := func() (json.RawMessage, probeCounters, error) {
-		raw, err := scrapeStats(client, base)
-		var c probeCounters
-		if err == nil {
-			err = json.Unmarshal(raw, &c)
-		}
-		return raw, c, err
-	}
-
-	if cold {
-		if iters < 1 {
-			iters = 1
-		}
-		// Counter baseline: the first decode's loads hit a cold page cache
-		// and would skew the rounds; diffing per round against the previous
-		// snapshot isolates each round's own per-artifact cost. Both sides
-		// then take the best (minimum) round — the same best-of-N reading
-		// the bench-regression harness applies to re-timed benchmarks, so
-		// a contention spike in the container degrades neither side.
-		_, prev, err := scrape()
-		if err != nil {
-			return err
-		}
-		// per-artifact cost of this round's store loads or engine computes,
-		// folded into the running best.
-		bestLoad, bestEngine := 0.0, 0.0
-		fold := func(best *float64, nanos int64, count uint64) {
-			if nanos > 0 && count > 0 {
-				if per := float64(nanos) / float64(count); *best == 0 || per < *best {
-					*best = per
-				}
-			}
-		}
-		// Reload rounds: each flush empties the LRU (never the store), so
-		// the next warm decode pulls every artifact from disk again.
-		for i := 0; i < iters; i++ {
-			if _, err := postOnce(client, base+"/v1/cache/flush", []byte("{}")); err != nil {
-				return err
-			}
-			if _, _, err := decodeOnce(true); err != nil {
-				return err
-			}
-			_, cur, err := scrape()
-			if err != nil {
-				return err
-			}
-			if cur.Store != nil && prev.Store != nil {
-				fold(&bestLoad, cur.Store.LoadNanos-prev.Store.LoadNanos,
-					(cur.Store.Hits+cur.Store.Misses)-(prev.Store.Hits+prev.Store.Misses))
-			}
-			prev = cur
-		}
-		// Recompute rounds: cache:false prices the engine pipeline.
-		var recomputeNanos int64
-		for i := 0; i < iters; i++ {
-			ns, _, err := decodeOnce(false)
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				recomputeNanos = ns
-			}
-			_, cur, err := scrape()
-			if err != nil {
-				return err
-			}
-			fold(&bestEngine, cur.EngineNanos-prev.EngineNanos,
-				cur.EngineComputes-prev.EngineComputes)
-			prev = cur
-		}
-		report["probe_iters"] = iters
-		report["recompute_nanos"] = recomputeNanos
-
-		raw, _, err := scrape()
-		if err != nil {
-			return err
-		}
-		report["stats"] = raw
-		ratio := 0.0
-		if bestLoad > 0 && bestEngine > 0 {
-			report["store_load_nanos"] = int64(bestLoad)
-			report["engine_compute_nanos"] = int64(bestEngine)
-			ratio = bestEngine / bestLoad
-		}
-		report["recompute_over_restart"] = ratio
-	} else if raw, _, err := scrape(); err == nil {
+	if raw, err := scrapeStats(client, base); err == nil {
 		report["stats"] = raw
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -399,14 +267,6 @@ type phaseReport struct {
 // for the given wall-clock duration. 429 responses are counted as shed, not
 // errors: they are the server's bounded pool doing its job.
 func runPhase(client *http.Client, url string, body []byte, concurrency int, d time.Duration) (phaseReport, error) {
-	return runPhaseBodies(client, url, [][]byte{body}, concurrency, d)
-}
-
-// runPhaseBodies is runPhase over a body rotation: each loop cycles through
-// the bodies in order. The cluster sweep uses it to spread cold decodes over
-// distinct graph seeds, so the routed keys land on different owners instead
-// of serializing one shard.
-func runPhaseBodies(client *http.Client, url string, bodies [][]byte, concurrency int, d time.Duration) (phaseReport, error) {
 	deadline := time.Now().Add(d)
 	type lane struct {
 		lat    []int64
@@ -418,11 +278,11 @@ func runPhaseBodies(client *http.Client, url string, bodies [][]byte, concurrenc
 	var wg sync.WaitGroup
 	for i := 0; i < concurrency; i++ {
 		wg.Add(1)
-		go func(laneID int, ln *lane) {
+		go func(ln *lane) {
 			defer wg.Done()
-			for seq := laneID; time.Now().Before(deadline); seq++ {
+			for time.Now().Before(deadline) {
 				start := time.Now()
-				status, err := postOnce(client, url, bodies[seq%len(bodies)])
+				status, err := postOnce(client, url, body)
 				if err != nil {
 					ln.err = err
 					return
@@ -437,7 +297,7 @@ func runPhaseBodies(client *http.Client, url string, bodies [][]byte, concurrenc
 				}
 				ln.lat = append(ln.lat, time.Since(start).Nanoseconds())
 			}
-		}(i, &lanes[i])
+		}(&lanes[i])
 	}
 	wg.Wait()
 
@@ -463,8 +323,8 @@ func runPhaseBodies(client *http.Client, url string, bodies [][]byte, concurrenc
 		rep.P95Nanos = pctl(all, 95)
 		rep.P99Nanos = pctl(all, 99)
 		if d > 0 {
-			// A zero-duration phase must report 0, not +Inf — the JSON
-			// report and the bench-regression gate both choke on Inf.
+			// A zero-duration phase must report 0, not +Inf: the JSON
+			// encoder rejects Inf.
 			rep.RPS = float64(len(all)) / d.Seconds()
 		}
 	}

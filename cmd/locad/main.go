@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	locad exp [E1 ... E11]       run experiments (all by default)
+//	locad exp [E1 ... E12]       run experiments (all by default)
 //	locad exp -trace t.jsonl -profile cpu.pprof -summary s.json
 //	locad trace -engine scheduler -graph torus -n 256 -o trace.jsonl
 //	locad fault -schema color3 -class flip -rate 0.05 -runs 10
@@ -63,12 +63,6 @@ func run(args []string) error {
 		return cmdGraphInfo(args[1:])
 	case "engine":
 		return cmdEngine(args[1:])
-	case "msgred":
-		return cmdMsgred(args[1:])
-	case "decomp":
-		return cmdDecomp(args[1:])
-	case "detlll":
-		return cmdDetLLL(args[1:])
 	case "trace":
 		return cmdTrace(args[1:])
 	case "fault":
@@ -104,7 +98,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `locad — local computation with advice (PODC 2024 reproduction)
 
 subcommands:
-  exp [E1 ... E11]  run experiments and print their tables (all by default);
+  exp [E1 ... E12]  run experiments and print their tables (all by default);
                     -trace/-summary observe the run (sequential), -profile
                     writes a CPU profile
   orient            encode+decode an almost-balanced orientation
@@ -116,17 +110,6 @@ subcommands:
                     chosen execution engine (-engine {ball,scheduler,
                     sequential,frugal} -workers <w>) and report rounds/
                     messages/time
-  msgred            measure the frugal engine's message/byte reduction vs the
-                    stock scheduler on a flood workload (-graph, -n, -rho,
-                    -json)
-  decomp            compute a seeded (β, O(log n/β)) low-diameter ball
-                    decomposition and report balls/radii/cut fraction
-  detlll            compare LLL resolution methods (seeded Moser-Tardos vs the
-                    deterministic conditional-expectations and decomposed
-                    solvers) on one graph: solver work, seed-independence of
-                    the advice, and the det-mode schemas' warm cache hit-rate
-                    advantage under rotating request seeds (-schemas -seeds
-                    -cap -json)
   trace             run the engine workload with metrics attached on any
                     -engine and write a JSONL per-round trace (-o <file>,
                     -profile <cpu.pprof>)
@@ -146,10 +129,10 @@ subcommands:
                     digest-routing router on -addr (-replicas -hot-threshold
                     -store-root); SIGTERM drains the router then the shards
   loadgen           drive a running serve with cold/warm /v1/decode traffic
-                    and report req/s + p50/p95/p99 per phase (-json for the
-                    shape bench.sh embeds); -batch adds a binary /v1/batch
-                    phase, -probe measures a single decode (restart recovery),
-                    -cluster sweeps routed throughput at several fleet sizes
+                    and report req/s + p50/p95/p99 per phase (-json for one
+                    JSON report with a /v1/stats scrape); -batch adds a binary
+                    /v1/batch phase, -probe sends a single decode and reports
+                    its labels and the server's counters (restart recovery)
   store {ls,gc,verify}  inspect, garbage-collect or integrity-check a
                     persistent artifact store directory (-dir)
 
@@ -247,8 +230,7 @@ func writeExpTrace(path string, results []harness.ExperimentResult) error {
 }
 
 // writeExpSummaries writes the per-experiment engine summaries as a single
-// JSON object keyed by experiment ID — the shape scripts/bench.sh embeds
-// under the "experiments" key of its BENCH_*.json reports.
+// JSON object keyed by experiment ID, each value one obs.Summary.
 func writeExpSummaries(path string, results []harness.ExperimentResult) error {
 	out := make(map[string]*obs.Summary, len(results))
 	for _, r := range results {

@@ -667,8 +667,8 @@ type ShardStatus struct {
 	Healthy bool   `json:"healthy"`
 }
 
-// RouterStats is the router's /v1/stats reply, embedded by scripts/bench.sh
-// under the "cluster" section's router_stats key.
+// RouterStats is the router's /v1/stats reply; serve-smoke reads its
+// healthy_shards after killing a shard.
 type RouterStats struct {
 	Role          string              `json:"role"`
 	UptimeNanos   int64               `json:"uptime_nanos"`

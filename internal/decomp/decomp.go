@@ -11,13 +11,11 @@
 // bounds every ball's radius by its center's shift (≤ O(log n / β) with
 // high probability).
 //
-// The decomposition is deterministic in (graph, β, seed) and bit-identical
-// for every worker count: parallel frontier scans buffer their claims per
-// worker and the claims are merged single-threaded in worker order, which
-// reproduces the sequential first-discoverer-wins order exactly. That makes
-// it safe to use both as a measurable workload (experiment E11, `locad
-// decomp`) and as the ball schedule of the decomposition-guided LLL solver
-// (lll.SolveDecomposed, via EventGraph).
+// The decomposition is deterministic in (graph, β, seed): claims land in
+// frontier-scan order and the first discoverer wins. That makes it safe to
+// use both as a measurable workload (experiment E11) and as the ball
+// schedule of the decomposition-guided LLL solver (lll.SolveDecomposed, via
+// EventGraph).
 package decomp
 
 import (
@@ -25,8 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"localadvice/internal/graph"
 )
@@ -89,13 +85,6 @@ func (d *Decomposition) MeanRadius() float64 {
 	return sum / float64(len(d.Radius))
 }
 
-// Decompose computes the (β, ·) decomposition of g with the given seed on a
-// single worker. See DecomposeWorkers for the parallel form; outputs are
-// bit-identical for every worker count.
-func Decompose(g *graph.Graph, beta float64, seed int64) (*Decomposition, error) {
-	return DecomposeWorkers(g, beta, seed, 1)
-}
-
 // claim is one frontier node's candidate ownership of an unvisited neighbor.
 type claim struct {
 	node  int32
@@ -103,30 +92,12 @@ type claim struct {
 	depth int32
 }
 
-// DecomposeWorkers is Decompose with an explicit worker count, following the
-// engines' contract: negative clamps to 1, zero expands to GOMAXPROCS, and
-// the count is capped to the node count. The frontier of each time step is
-// split contiguously among the workers, each worker buffers its candidate
-// claims, and the buffers are merged single-threaded in worker order — the
-// exact order a sequential scan of the frontier would produce — so the
-// assignment is bit-identical for every worker count.
-func DecomposeWorkers(g *graph.Graph, beta float64, seed int64, workers int) (*Decomposition, error) {
+// Decompose computes the (β, ·) decomposition of g with the given seed.
+func Decompose(g *graph.Graph, beta float64, seed int64) (*Decomposition, error) {
 	if math.IsNaN(beta) || math.IsInf(beta, 0) || beta <= 0 {
 		return nil, fmt.Errorf("%w: got %v", ErrBeta, beta)
 	}
 	n := g.N()
-	switch {
-	case workers < 0:
-		workers = 1
-	case workers == 0:
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
 
 	d := &Decomposition{
 		Beta:  beta,
@@ -176,11 +147,9 @@ func DecomposeWorkers(g *graph.Graph, beta float64, seed int64, workers int) (*D
 	s := graph.NewBFSScratch()
 	s.Begin(n)
 
-	// Per-worker claim buffers for the parallel frontier scan; claims[0]
-	// doubles as the sequential buffer. Total claims over the whole run are
-	// bounded by 2m (each node's frontier membership lasts exactly one
-	// step), so the buffers amortize.
-	bufs := make([][]claim, workers)
+	// Claims generated at step t land at t+1. Total claims over the whole
+	// run are bounded by 2m (each node's frontier membership lasts exactly
+	// one step), so the buffer amortizes.
 	var pending []claim
 
 	frontHead := 0
@@ -210,39 +179,19 @@ func DecomposeWorkers(g *graph.Graph, beta float64, seed int64, workers int) (*D
 				}
 			}
 		}
+		// One claim per (frontier node, unvisited neighbor) pair, in
+		// frontier order then port order.
 		frontier := s.Order()[frontHead:]
 		frontHead = len(s.Order())
 		pending = pending[:0]
-		if len(frontier) == 0 {
-			continue
-		}
-		if workers <= 1 || len(frontier) < 2*workers {
-			pending = scanFrontier(csr, s, d.Ball, frontier, pending)
-			continue
-		}
-		// Parallel scan: contiguous frontier chunks, claims buffered per
-		// worker. Workers only read the visited set (nothing writes it
-		// during the scan), so the chunks are data-race free; the merge in
-		// worker order below is identical to one sequential left-to-right
-		// frontier scan.
-		chunk := (len(frontier) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, len(frontier))
-			if lo >= hi {
-				bufs[w] = bufs[w][:0]
-				continue
+		for _, u := range frontier {
+			du := int32(s.Dist(int(u)))
+			b := d.Ball[u]
+			for _, w := range csr.Neighbors(int(u)) {
+				if !s.Visited(int(w)) {
+					pending = append(pending, claim{node: w, ball: b, depth: du + 1})
+				}
 			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				bufs[w] = scanFrontier(csr, s, d.Ball, frontier[lo:hi], bufs[w][:0])
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			pending = append(pending, bufs[w]...)
 		}
 	}
 
@@ -262,22 +211,6 @@ func DecomposeWorkers(g *graph.Graph, beta float64, seed int64, workers int) (*D
 		}
 	}
 	return d, nil
-}
-
-// scanFrontier appends to buf one claim per (frontier node, unvisited
-// neighbor) pair, in frontier order then port order. Reads only the scratch's
-// visited set and the ball assignment of visited nodes; never writes either.
-func scanFrontier(csr *graph.CSR, s *graph.BFSScratch, ball []int32, frontier []int32, buf []claim) []claim {
-	for _, u := range frontier {
-		du := int32(s.Dist(int(u)))
-		b := ball[u]
-		for _, w := range csr.Neighbors(int(u)) {
-			if !s.Visited(int(w)) {
-				buf = append(buf, claim{node: w, ball: b, depth: du + 1})
-			}
-		}
-	}
-	return buf
 }
 
 // Validate checks the structural invariants of d against g and returns the

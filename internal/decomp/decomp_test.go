@@ -62,33 +62,6 @@ func TestDecomposeInvariants(t *testing.T) {
 	}
 }
 
-// TestDecomposeWorkerDeterminism pins the parallel contract: the whole
-// decomposition — assignment, shifts, depths, centers, radii, cut counts —
-// is bit-identical across worker counts -1 (clamp to 1), 1, 8, and 0
-// (GOMAXPROCS).
-func TestDecomposeWorkerDeterminism(t *testing.T) {
-	for _, seed := range []int64{1, 2} {
-		for name, g := range decompGraphs(t, seed) {
-			for _, beta := range []float64{0.1, 0.5} {
-				base, err := DecomposeWorkers(g, beta, seed, 1)
-				if err != nil {
-					t.Fatalf("seed %d %s beta %v: %v", seed, name, beta, err)
-				}
-				for _, w := range []int{-1, 8, 0} {
-					d, err := DecomposeWorkers(g, beta, seed, w)
-					if err != nil {
-						t.Fatalf("seed %d %s beta %v workers %d: %v", seed, name, beta, w, err)
-					}
-					if !reflect.DeepEqual(d, base) {
-						t.Fatalf("seed %d %s beta %v: workers=%d decomposition differs from workers=1\n%+v\nvs\n%+v",
-							seed, name, beta, w, d, base)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestDecomposeBetaValidation checks the ErrBeta boundary: zero, negative,
 // NaN and infinite rates are typed errors; a small positive rate is not.
 func TestDecomposeBetaValidation(t *testing.T) {
@@ -106,22 +79,20 @@ func TestDecomposeBetaValidation(t *testing.T) {
 // TestDecomposeTinyBeta pins the float64 shift clamp: a denormal-scale β
 // passes validation but makes -log(1-u)/β overflow int32, so the clamp must
 // happen before the conversion. Shifts saturate at n and the decomposition
-// stays valid for every worker count.
+// stays valid.
 func TestDecomposeTinyBeta(t *testing.T) {
 	g := graph.Grid2D(8, 8)
-	for _, workers := range []int{-1, 1, 3, 8} {
-		d, err := DecomposeWorkers(g, 1e-300, 1, workers)
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if err := d.Validate(g); err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		n := int32(g.N())
-		for v, s := range d.Shift {
-			if s < 0 || s > n {
-				t.Fatalf("workers %d: node %d shift %d outside [0, %d]", workers, v, s, n)
-			}
+	d, err := Decompose(g, 1e-300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	n := int32(g.N())
+	for v, s := range d.Shift {
+		if s < 0 || s > n {
+			t.Fatalf("node %d shift %d outside [0, %d]", v, s, n)
 		}
 	}
 }
@@ -229,5 +200,62 @@ func TestDecomposeBetaScaling(t *testing.T) {
 	}
 	if fine.MaxRadius() > coarse.MaxRadius() {
 		t.Fatalf("beta 2 max radius %d exceeds beta 0.05's %d", fine.MaxRadius(), coarse.MaxRadius())
+	}
+}
+
+// TestValidateRejects is the oracle's own test: a hand-built valid
+// decomposition of the path 0-1-2-3 (balls {0,1} and {2,3}, centered at 0
+// and 3) passes Validate, and each single corruption of it fails.
+func TestValidateRejects(t *testing.T) {
+	g := graph.Path(4)
+	valid := func() *Decomposition {
+		return &Decomposition{
+			Beta: 0.5, Seed: 1,
+			Ball:     []int32{0, 0, 1, 1},
+			Shift:    []int32{2, 0, 0, 2},
+			Depth:    []int32{0, 1, 1, 0},
+			Centers:  []int32{0, 3},
+			Radius:   []int32{1, 1},
+			MaxShift: 2,
+			CutEdges: 1,
+			Edges:    3,
+		}
+	}
+	d := valid()
+	if err := d.Validate(g); err != nil {
+		t.Fatalf("valid fixture rejected: %v", err)
+	}
+	if got := d.MeanRadius(); got != 1 {
+		t.Fatalf("MeanRadius = %v, want 1", got)
+	}
+	if got := (&Decomposition{}).MeanRadius(); got != 0 {
+		t.Fatalf("MeanRadius of no balls = %v, want 0", got)
+	}
+	corruptions := map[string]func(d *Decomposition){
+		"short ball slice":       func(d *Decomposition) { d.Ball = d.Ball[:3] },
+		"radius count":           func(d *Decomposition) { d.Radius = d.Radius[:1] },
+		"no balls":               func(d *Decomposition) { d.Centers, d.Radius = nil, nil },
+		"center out of range":    func(d *Decomposition) { d.Centers[1] = 4 },
+		"center in another ball": func(d *Decomposition) { d.Centers[1] = 0 },
+		"center below depth 0":   func(d *Decomposition) { d.Depth[0] = 1 },
+		"ball out of range":      func(d *Decomposition) { d.Ball[1] = 2 },
+		"unassigned node":        func(d *Decomposition) { d.Depth[1] = -1 },
+		"depth beyond shift":     func(d *Decomposition) { d.Shift[0] = 0 },
+		"no parent":              func(d *Decomposition) { d.Depth[2] = 2 },
+		"second depth-0 node":    func(d *Decomposition) { d.Depth[1] = 0 },
+		"wrong radius":           func(d *Decomposition) { d.Radius[0] = 2 },
+		"wrong cut count":        func(d *Decomposition) { d.CutEdges = 0 },
+		"wrong edge count":       func(d *Decomposition) { d.Edges = 2 },
+	}
+	for name, corrupt := range corruptions {
+		d := valid()
+		corrupt(d)
+		if err := d.Validate(g); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, d)
+		}
+	}
+	empty := &Decomposition{Centers: []int32{0}, Radius: []int32{0}}
+	if err := empty.Validate(graph.New(0)); err == nil {
+		t.Error("Validate accepted a ball on an empty graph")
 	}
 }

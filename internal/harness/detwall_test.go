@@ -157,8 +157,8 @@ func TestDetRunConfigSwitch(t *testing.T) {
 	}
 }
 
-// TestDetSchemaByName pins the lookup used by `locad detlll` and the
-// serving-layer registry.
+// TestDetSchemaByName pins the lookup used by the serving-layer registry
+// and perfbench.
 func TestDetSchemaByName(t *testing.T) {
 	for _, name := range []string{"orient", "color3"} {
 		ds, ok := DetSchemaByName(name)

@@ -19,8 +19,7 @@ import (
 // placement, ruling-group selection of the 3-coloring schema) between
 // Moser–Tardos and the derandomized solvers, and experiment E12 comparing
 // the three methods. The adapters are shared by E12, the seed-independence
-// test wall, the `locad detlll` subcommand, and the server's det-mode
-// schema entries.
+// test wall, the server's det-mode schema entries and perfbench.
 
 // DetMethod names one LLL resolution strategy.
 type DetMethod string
@@ -60,10 +59,6 @@ type DetSchema struct {
 	// nil collector records nothing. MethodMT runs under the detMTCap
 	// resampling bound.
 	EncodeWith func(method DetMethod, g *graph.Graph, seed int64, m *obs.Collector) (local.Advice, error)
-	// EncodeMTCapped is the MethodMT path with an explicit resampling cap —
-	// the `locad detlll -cap` hook for exercising the typed
-	// lll.ErrResamplingCap surface end to end.
-	EncodeMTCapped func(g *graph.Graph, seed int64, cap int, m *obs.Collector) (local.Advice, error)
 	// DecodeOn runs the schema's LOCAL decoder on a named engine.
 	DecodeOn func(engine string, g *graph.Graph, advice local.Advice, cfg local.RunConfig) (*lcl.Solution, local.Stats, error)
 }
@@ -115,13 +110,6 @@ func DetSchemas() []DetSchema {
 				}
 				return va.Dense(g.N()), nil
 			},
-			EncodeMTCapped: func(g *graph.Graph, seed int64, cap int, m *obs.Collector) (local.Advice, error) {
-				va, err := orientSchema.EncodeVarLLLObserved(g, rand.New(rand.NewSource(seed)), cap, m)
-				if err != nil {
-					return nil, err
-				}
-				return va.Dense(g.N()), nil
-			},
 			DecodeOn: func(engine string, g *graph.Graph, advice local.Advice, cfg local.RunConfig) (*lcl.Solution, local.Stats, error) {
 				return orientSchema.DecodeVarOn(engine, g, core.SparseFromDense(advice), cfg)
 			},
@@ -140,9 +128,6 @@ func DetSchemas() []DetSchema {
 				default:
 					return nil, fmt.Errorf("unknown det method %q", method)
 				}
-			},
-			EncodeMTCapped: func(g *graph.Graph, seed int64, cap int, m *obs.Collector) (local.Advice, error) {
-				return threeSchema.EncodeLLLObserved(g, rand.New(rand.NewSource(seed)), cap, m)
 			},
 			DecodeOn: threeSchema.DecodeOn,
 		},

@@ -211,7 +211,7 @@ func TestEstimatorBudgetTyped(t *testing.T) {
 // TestResamplingCapTyped is the typed-cap table test: the randomized solver
 // must return a ResamplingCapError that errors.Is-matches the sentinel and
 // errors.As-exposes the stuck event and the resampling count, with a
-// human-readable one-line message (the `locad detlll -cap` surface).
+// human-readable one-line message.
 func TestResamplingCapTyped(t *testing.T) {
 	alwaysBad := &Instance{
 		NumVars:    2,

@@ -211,8 +211,8 @@ func msgEqual(a, b Message) bool {
 // engine the payload on an edge only changes the round its sender becomes
 // informed, so change suppression reduces the traffic to the wavefront:
 // each directed edge is charged O(ρ) skeleton hops once, total O(n·ρ)
-// instead of Θ(m·Rounds). This is experiment E10's workload and the
-// "msgred" bench section's.
+// instead of Θ(m·Rounds). This is experiment E10's workload, and
+// TestFrugalFloodReduction pins its counts on the 64×64 grid.
 type FloodProtocol struct {
 	SourceID int64
 	Rounds   int

@@ -30,12 +30,46 @@ func floodSetup(t *testing.T, g *graph.Graph) *FloodProtocol {
 	return &FloodProtocol{SourceID: minID, Rounds: ecc + 2}
 }
 
-// TestFrugalFloodReduction is the headline property on a mid-size grid: the
-// frugal engine completes the flood with a fraction of the stock scheduler's
-// messages and bytes, within 2× the rounds, and identical outputs. (The
-// full-size 4096-node claim lives in the msgred bench section and E10.)
+// floodCounts are the exact costs of the canonical flood on one grid at the
+// default skeleton radius: the stock scheduler's rounds, messages and bytes,
+// the frugal engine's, and the skeleton's size. They are functions of the
+// graph alone, so they hold on any host and at any worker count.
+type floodCounts struct {
+	stockRounds, frugalRounds     int
+	stockMessages, frugalMessages int64
+	stockBytes, frugalBytes       int64
+	clusters, skeletonEdges       int
+}
+
+// TestFrugalFloodReduction is the headline property: the frugal engine
+// completes the flood with a fraction of the stock scheduler's messages and
+// bytes, within 2× the rounds, and identical outputs. The 64×64 grid is the
+// full-size case; E10's golden covers graphs up to 256 nodes. Every count
+// is pinned exactly.
 func TestFrugalFloodReduction(t *testing.T) {
-	g := graph.Grid2D(24, 24)
+	cases := []struct {
+		side int
+		want floodCounts
+	}{
+		{24, floodCounts{
+			stockRounds: 48, stockMessages: 55_200, stockBytes: 441_600,
+			frugalRounds: 53, frugalMessages: 2_339, frugalBytes: 43_152,
+			clusters: 102, skeletonEdges: 730,
+		}},
+		{64, floodCounts{
+			stockRounds: 128, stockMessages: 1_048_320, stockBytes: 8_386_560,
+			frugalRounds: 133, frugalMessages: 17_103, frugalBytes: 319_744,
+			clusters: 704, skeletonEdges: 5_382,
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("grid%dx%d", tc.side, tc.side), func(t *testing.T) {
+			checkFloodReduction(t, graph.Grid2D(tc.side, tc.side), tc.want)
+		})
+	}
+}
+
+func checkFloodReduction(t *testing.T, g *graph.Graph, want floodCounts) {
 	p := floodSetup(t, g)
 
 	var stock, frugal obs.Collector
@@ -92,6 +126,16 @@ func TestFrugalFloodReduction(t *testing.T) {
 	}
 	if transBytes*3 > stockBytes {
 		t.Errorf("frugal transport bytes %d vs stock %d — change suppression is not biting", transBytes, stockBytes)
+	}
+
+	sk := graph.BuildSkeleton(g, DefaultFrugalRadius, graph.NewBFSScratch())
+	got := floodCounts{
+		stockRounds: stockStats.Rounds, stockMessages: int64(stockStats.Messages), stockBytes: stockBytes,
+		frugalRounds: frugalStats.Rounds, frugalMessages: int64(frugalStats.Messages), frugalBytes: transBytes,
+		clusters: len(sk.Centers), skeletonEdges: sk.Edges(),
+	}
+	if got != want {
+		t.Errorf("flood counts on %s:\n got %+v\nwant %+v", g, got, want)
 	}
 }
 

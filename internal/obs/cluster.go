@@ -67,7 +67,7 @@ func (m *ClusterMetrics) RouteTo(shard string) {
 }
 
 // ClusterSnapshot is the JSON form of the router counters, surfaced at the
-// router's /v1/stats and embedded into BENCH_*.json by the cluster sweep.
+// router's /v1/stats.
 type ClusterSnapshot struct {
 	Forwards          uint64            `json:"forwards"`
 	ForwardErrors     uint64            `json:"forward_errors"`

@@ -48,7 +48,7 @@ func (m *EndpointMetrics) Observe(d time.Duration, isErr bool) {
 }
 
 // EndpointSnapshot is the JSON form of one endpoint's metrics, surfaced by
-// the server's /v1/stats and embedded into BENCH_*.json by scripts/bench.sh.
+// the server's /v1/stats.
 type EndpointSnapshot struct {
 	Count    uint64 `json:"count"`
 	Errors   uint64 `json:"errors"`

@@ -56,7 +56,7 @@ func (m *StoreMetrics) ObserveError() {
 }
 
 // StoreSnapshot is the JSON form of the store counters, surfaced by the
-// server's /v1/stats under the "store" key and embedded into BENCH_*.json.
+// server's /v1/stats under the "store" key.
 type StoreSnapshot struct {
 	Hits         uint64 `json:"hits"`
 	Misses       uint64 `json:"misses"`

@@ -7,10 +7,10 @@ import (
 )
 
 // Summary is the in-memory aggregate of one Collector: the per-experiment
-// record the harness exports and scripts/bench.sh ingests. Rounds,
-// Messages, Bytes and per-kind event totals are deterministic; the latency
-// percentiles, throughput and allocator deltas are measurements of this
-// machine and run.
+// record the harness exports (`locad exp -summary`, perfbench exp-tables).
+// Rounds, Messages, Bytes and per-kind event totals are deterministic; the
+// latency percentiles, throughput and allocator deltas are measurements of
+// this machine and run.
 type Summary struct {
 	Runs     int   `json:"runs"`
 	Rounds   int   `json:"rounds"`

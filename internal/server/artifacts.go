@@ -29,9 +29,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 
 	"localadvice/internal/eth"
 	"localadvice/internal/persist"
@@ -81,12 +84,7 @@ func (s *Server) handleExport(r *http.Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	type record struct {
-		kind    byte
-		key     string
-		payload []byte
-	}
-	records := []record{{artifactAdvice, adviceKey(sc, cg), persist.EncodeAdvice(adv.advice)}}
+	records := []artifactRecord{{artifactAdvice, adviceKey(sc, cg), persist.EncodeAdvice(adv.advice)}}
 	if sc.Compile != nil && sc.TableEncode != nil {
 		table, err := s.resolveTable(sc, cg, adv.advice, adv.digest, true, "export")
 		if err != nil {
@@ -94,17 +92,28 @@ func (s *Server) handleExport(r *http.Request) ([]byte, error) {
 		}
 		var buf bytes.Buffer
 		if err := table.SaveBinary(&buf, sc.TableEncode); err == nil {
-			records = append(records, record{artifactTable, tableKey(sc, cg, adv.digest), buf.Bytes()})
+			records = append(records, artifactRecord{artifactTable, tableKey(sc, cg, adv.digest), buf.Bytes()})
 		}
 	}
+	return encodeArtifactFrame(sc.Name, cg.digest, records), nil
+}
 
+// artifactRecord is one record of a LAAR frame.
+type artifactRecord struct {
+	kind    byte
+	key     string
+	payload []byte
+}
+
+// encodeArtifactFrame writes the LAAR frame of the package comment.
+func encodeArtifactFrame(schema, digest string, records []artifactRecord) []byte {
 	var b []byte
 	b = append(b, artifactMagic...)
 	b = binary.LittleEndian.AppendUint16(b, artifactVersion)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(sc.Name)))
-	b = append(b, sc.Name...)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(cg.digest)))
-	b = append(b, cg.digest...)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(schema)))
+	b = append(b, schema...)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(digest)))
+	b = append(b, digest...)
 	b = append(b, byte(len(records)))
 	for _, rec := range records {
 		b = append(b, rec.kind)
@@ -113,7 +122,7 @@ func (s *Server) handleExport(r *http.Request) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(rec.payload)))
 		b = append(b, rec.payload...)
 	}
-	return b, nil
+	return b
 }
 
 // handleImportCtx adapts handleImport to the pooled JSON endpoint shape.
@@ -123,9 +132,10 @@ func (s *Server) handleImportCtx(_ context.Context, r *http.Request) (any, error
 
 // handleImport inserts a replication frame's artifacts into the local cache
 // (and writes them through to the store when one is configured). Payloads
-// are decoded to their resident forms before insertion — a frame that does
-// not parse is rejected wholesale, so a corrupt replication push can never
-// poison the cache.
+// are decoded to their resident forms and keys checked against the frame's
+// schema and digest before insertion — a frame that does not parse, or
+// that names a key of another kind, schema or graph, is rejected wholesale,
+// so a corrupt replication push can never poison the cache.
 func (s *Server) handleImport(r *http.Request) (any, error) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -166,6 +176,13 @@ func (s *Server) handleImport(r *http.Request) (any, error) {
 		if fr.err != nil {
 			return nil, errf(http.StatusBadRequest, "bad_artifact", "truncated record %d", i)
 		}
+		if kind != artifactAdvice && kind != artifactTable {
+			return nil, errf(http.StatusBadRequest, "bad_artifact", "record %d: unknown kind %d", i, kind)
+		}
+		if !importKeyOK(sc, digest, kind, key) {
+			return nil, errf(http.StatusUnprocessableEntity, "bad_artifact",
+				"record %d: key %q is not this frame's schema and graph", i, key)
+		}
 		switch kind {
 		case artifactAdvice:
 			advice, err := persist.DecodeAdvice(payload)
@@ -186,8 +203,6 @@ func (s *Server) handleImport(r *http.Request) (any, error) {
 					"record %d: bad table payload: %v", i, err)
 			}
 			pending = append(pending, insertion{key, table, tableSize(table), payload, persist.KindTable})
-		default:
-			return nil, errf(http.StatusBadRequest, "bad_artifact", "record %d: unknown kind %d", i, kind)
 		}
 	}
 	if fr.off != len(fr.b) {
@@ -202,4 +217,38 @@ func (s *Server) handleImport(r *http.Request) (any, error) {
 		s.storePut(ins.key, ins.pstKind, ins.payload)
 	}
 	return &ImportResponse{Schema: schema, GraphDigest: digest, Imported: imported}, nil
+}
+
+// importKeyOK reports whether key is the cache key this server writes for
+// a record of the given kind under the frame's schema and graph digest:
+// exactly adviceKey's form for advice (with ":seed=N" iff the schema is
+// seed-dependent), and tableKey's form, ending in a hex advice digest, for
+// tables. Any other key would sit in the cache under a name another lookup
+// reads, with a value of the wrong type.
+func importKeyOK(sc *schemaEntry, digest string, kind byte, key string) bool {
+	base := digest + ":" + sc.Name + "@" + sc.Params
+	if kind == artifactTable {
+		adv, ok := strings.CutPrefix(key, "table:"+base+":")
+		return ok && isHexDigest(adv)
+	}
+	rest, ok := strings.CutPrefix(key, "advice:"+base)
+	if !ok || !sc.SeedDependent {
+		return ok && rest == ""
+	}
+	seed, ok := strings.CutPrefix(rest, ":seed=")
+	n, err := strconv.ParseInt(seed, 10, 64)
+	return ok && err == nil && strconv.FormatInt(n, 10) == seed
+}
+
+// isHexDigest reports whether s is a hex SHA-256 as adviceDigest writes it.
+func isHexDigest(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/binary"
+	"bytes"
 	"net/http"
 	"strings"
 	"testing"
@@ -157,9 +157,12 @@ func TestArtifactExportImport(t *testing.T) {
 	}
 }
 
-// TestArtifactImportRejectsCorruptFrame: a truncated or doctored LAAR frame
-// is refused wholesale with the typed bad_artifact error — a partial import
-// must never land.
+// TestArtifactImportRejectsCorruptFrame: frames that do not parse, and
+// frames whose records sit under keys this server never writes for the
+// frame's schema and graph, are rejected whole with bad_artifact and leave
+// nothing in the cache. The misplaced records carry real cycle-12 mis
+// payloads; under the graph or decode key, an accepted record would make
+// every later decode of cycle-12 fail its cache type check with 500.
 func TestArtifactImportRejectsCorruptFrame(t *testing.T) {
 	a := newTestServer(t, Config{})
 	b := newTestServer(t, Config{})
@@ -167,24 +170,80 @@ func TestArtifactImportRejectsCorruptFrame(t *testing.T) {
 	exp := doReq(t, a, "POST", "/v1/artifacts/export", `{"schema":"mis","graph":{"family":"cycle","n":48,"seed":3}}`)
 	frame := exp.Body.Bytes()
 
-	cases := map[string][]byte{
-		"truncated": frame[:len(frame)-5],
-		"bad magic": append([]byte("XXXX"), frame[4:]...),
-		"garbage":   []byte("not a frame at all"),
+	const decode12 = `{"schema":"mis","graph":{"family":"cycle","n":12,"seed":0}}`
+	mis, lll := a.schemas["mis"], a.schemas["orientlll"]
+	cg, _, err := a.resolveGraph(GraphSpec{Family: "cycle", N: 12}, true, "test")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, bad := range cases {
-		w := doBin(t, b, "/v1/artifacts/import", bad)
-		if w.Code != http.StatusUnprocessableEntity && w.Code != http.StatusBadRequest {
-			t.Errorf("%s frame: want 4xx, got %d: %s", name, w.Code, w.Body)
+	adv, _, err := a.encodeAdvice(mis, cg, true, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := a.resolveTable(mis, cg, adv.advice, adv.digest, true, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tbuf bytes.Buffer
+	if err := table.SaveBinary(&tbuf, mis.TableEncode); err != nil {
+		t.Fatal(err)
+	}
+	advPayload, tablePayload := persist.EncodeAdvice(adv.advice), tbuf.Bytes()
+	misFrame := func(records ...artifactRecord) []byte { return encodeArtifactFrame(mis.Name, cg.digest, records) }
+	lllFrame := func(key string) []byte {
+		return encodeArtifactFrame(lll.Name, cg.digest, []artifactRecord{{artifactAdvice, key, advPayload}})
+	}
+	lllBase := "advice:" + cg.digest + ":" + lll.Name + "@" + lll.Params
+	goodAdvice := artifactRecord{artifactAdvice, adviceKey(mis, cg), advPayload}
+
+	cases := []struct {
+		name  string
+		frame []byte
+		want  int
+	}{
+		{"truncated", frame[:len(frame)-5], http.StatusBadRequest},
+		{"bad magic", append([]byte("XXXX"), frame[4:]...), http.StatusBadRequest},
+		{"garbage", []byte("not a frame at all"), http.StatusBadRequest},
+		{"graph key", misFrame(artifactRecord{artifactAdvice, "graph:cycle:12:0", advPayload}), http.StatusUnprocessableEntity},
+		{"decode key", misFrame(artifactRecord{artifactAdvice, "decode:" + cg.digest + ":" + mis.Name + "@" + mis.Params + ":" + adv.digest, advPayload}), http.StatusUnprocessableEntity},
+		{"bare decode key", misFrame(artifactRecord{artifactAdvice, "decode:zzz", advPayload}), http.StatusUnprocessableEntity},
+		{"other schema", misFrame(artifactRecord{artifactAdvice, adviceKey(a.schemas["color3"], cg), advPayload}), http.StatusUnprocessableEntity},
+		{"other graph", misFrame(artifactRecord{artifactAdvice, "advice:" + strings.Repeat("0", 64) + ":" + mis.Name + "@" + mis.Params, advPayload}), http.StatusUnprocessableEntity},
+		{"seed on a seedless schema", misFrame(artifactRecord{artifactAdvice, adviceKey(mis, cg) + ":seed=0", advPayload}), http.StatusUnprocessableEntity},
+		{"seedless key of a seeded schema", lllFrame(lllBase), http.StatusUnprocessableEntity},
+		{"non-canonical seed", lllFrame(lllBase + ":seed=07"), http.StatusUnprocessableEntity},
+		{"non-numeric seed", lllFrame(lllBase + ":seed=x"), http.StatusUnprocessableEntity},
+		{"table key without advice digest", misFrame(artifactRecord{artifactTable, tableKey(mis, cg, "zzz"), tablePayload}), http.StatusUnprocessableEntity},
+		{"table under the advice key", misFrame(artifactRecord{artifactTable, adviceKey(mis, cg), tablePayload}), http.StatusUnprocessableEntity},
+		{"advice under the table key", misFrame(artifactRecord{artifactAdvice, tableKey(mis, cg, adv.digest), advPayload}), http.StatusUnprocessableEntity},
+		{"good record then bad", misFrame(goodAdvice, artifactRecord{artifactAdvice, "graph:cycle:12:0", advPayload}), http.StatusUnprocessableEntity},
+	}
+	for _, c := range cases {
+		w := doBin(t, b, "/v1/artifacts/import", c.frame)
+		if w.Code != c.want {
+			t.Errorf("%s frame: want %d, got %d: %s", c.name, c.want, w.Code, w.Body)
 			continue
 		}
 		if code := errCode(t, w.Body.String()); code != "bad_artifact" {
-			t.Errorf("%s frame: want code bad_artifact, got %q", name, code)
+			t.Errorf("%s frame: want code bad_artifact, got %q", c.name, code)
 		}
 		assertNoLeak(t, w.Body.String())
 	}
 	if n := shardStats0(t, b).Cache.Entries; n != 0 {
 		t.Errorf("corrupt imports left %d cache entries behind", n)
+	}
+	if w := doReq(t, b, "POST", "/v1/decode", decode12); w.Code != http.StatusOK {
+		t.Errorf("decode of cycle-12 after the rejected frames: %d: %s", w.Code, w.Body)
+	}
+
+	// The same payloads under the keys this server writes are accepted.
+	for name, good := range map[string][]byte{
+		"mis advice and table": misFrame(goodAdvice, artifactRecord{artifactTable, tableKey(mis, cg, adv.digest), tablePayload}),
+		"seeded advice":        lllFrame(lllBase + ":seed=-7"),
+	} {
+		if w := doBin(t, b, "/v1/artifacts/import", good); w.Code != http.StatusOK {
+			t.Errorf("%s: want 200, got %d: %s", name, w.Code, w.Body)
+		}
 	}
 }
 
@@ -207,17 +266,7 @@ func TestExportRejectsMisShapedImportedAdvice(t *testing.T) {
 	key := adviceKey(sc, cg)
 	payload := persist.EncodeAdvice(make(local.Advice, cg.g.N()))
 
-	frame := []byte(artifactMagic)
-	frame = binary.LittleEndian.AppendUint16(frame, artifactVersion)
-	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(sc.Name)))
-	frame = append(frame, sc.Name...)
-	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(cg.digest)))
-	frame = append(frame, cg.digest...)
-	frame = append(frame, 1, artifactAdvice)
-	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(key)))
-	frame = append(frame, key...)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
+	frame := encodeArtifactFrame(sc.Name, cg.digest, []artifactRecord{{artifactAdvice, key, payload}})
 	if w := doBin(t, s, "/v1/artifacts/import", frame); w.Code != http.StatusOK {
 		t.Fatalf("import: %d: %s", w.Code, w.Body)
 	}

@@ -51,8 +51,7 @@ func TestAdviceKeySeedComponent(t *testing.T) {
 // family that ignores it — the cycle generator is seed-free, so every
 // request resolves to one graph digest), the det-mode schema serves every
 // request after the first from cache, while the seeded schema recomputes
-// each one. This is the in-process form of the "detlll" bench section's
-// warm-hit measurement.
+// each one.
 func TestDetModeWarmHitContrast(t *testing.T) {
 	s := newTestServer(t, Config{})
 

@@ -821,8 +821,8 @@ func (s *Server) handleHealthz() any {
 }
 
 // StatsResponse is the reply of GET /v1/stats: the serving layer's
-// operational counters, embedded by scripts/bench.sh under the "serve" key
-// of BENCH_*.json.
+// operational counters, scraped by `locad loadgen -json`, serve-smoke and
+// perfbench's timed windows.
 type StatsResponse struct {
 	Role         string                          `json:"role"`
 	UptimeNanos  int64                           `json:"uptime_nanos"`

@@ -36,8 +36,8 @@ type schemaEntry struct {
 	// SeedDependent widens the advice cache key with the request's graph
 	// seed (":seed=N"). Deterministic-LLL schemas leave it false — their
 	// advice is a pure function of the graph, so requests under rotating
-	// seeds share one cached artifact (DESIGN.md decision 12); that delta
-	// in warm hit rate is what the "detlll" bench section measures.
+	// seeds share one cached artifact (DESIGN.md decision 12);
+	// TestDetModeWarmHitContrast pins the resulting warm-hit difference.
 	SeedDependent bool
 	// Decode runs the LOCAL decoder (nil when Compile is set).
 	Decode func(g *graph.Graph, advice local.Advice) (*lcl.Solution, local.Stats, error)

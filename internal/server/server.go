@@ -125,7 +125,7 @@ type Server struct {
 	engineComputes atomic.Uint64
 	// engineComputeNanos is the wall time spent inside those engine runs;
 	// against the store's load_nanos it prices cold-start recovery (disk
-	// load) vs recompute — the `loadgen -probe-cold` recovery ratio.
+	// load) vs recompute.
 	engineComputeNanos atomic.Int64
 	batchItems         atomic.Uint64
 

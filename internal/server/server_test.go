@@ -343,7 +343,8 @@ func TestEncodeSearchBudget(t *testing.T) {
 	}
 }
 
-// TestStatsShape pins the /v1/stats fields bench.sh and loadgen scrape.
+// TestStatsShape pins the /v1/stats fields loadgen, serve-smoke and
+// perfbench scrape.
 func TestStatsShape(t *testing.T) {
 	s := newTestServer(t, Config{})
 	doReq(t, s, "POST", "/v1/decode", `{"schema":"mis","graph":{"family":"cycle","n":8}}`)

@@ -13,9 +13,10 @@ test:
 # CI gate: vet, gofmt (any file `gofmt -l` lists fails the gate), the full
 # suite (which replays every fuzz seed corpus and runs the exact-count pins:
 # goldens, message and round counts, allocations per run), a race-enabled
-# run of the engine-equivalence, scratch-reuse and fault-injection property
-# tests — the tests most likely to catch a data race introduced in the
-# parallel engines and their pooled per-worker state — plus the serving
+# run of the engine-equivalence, scratch-reuse, fault-injection and
+# panic-to-caller tests — the tests most likely to catch a data race
+# introduced in the parallel engines, their pooled per-worker state and the
+# scheduler's per-run shard workers — plus the serving
 # layer's concurrency tests (cache singleflight, shutdown drain, load
 # shedding) under the race detector, the serve round-trip smoke, and the
 # per-package coverage floor. Nothing in it compares a wall-clock time, so
@@ -24,7 +25,7 @@ check:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test ./...
-	$(GO) test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp|Deterministic|RunDecider' ./internal/local ./internal/fault ./internal/decomp ./internal/lll ./internal/growth ./internal/eth ./internal/orient ./internal/coloring
+	$(GO) test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp|Deterministic|RunDecider|PanicReachesCaller' ./internal/local ./internal/fault ./internal/decomp ./internal/lll ./internal/growth ./internal/eth ./internal/orient ./internal/coloring
 	$(GO) test -race -count=1 -run 'Race|Singleflight|Property|Flush|Cached' ./internal/server ./internal/cache ./internal/cluster
 	$(MAKE) serve-smoke
 	$(MAKE) cover

@@ -49,16 +49,12 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	g := &Graph{
+	return &Graph{
 		n:   n,
-		ids: make([]int64, n),
+		ids: sequentialIDs(n),
 		adj: make([][]int, n),
 		inc: make([][]int, n),
 	}
-	for v := 0; v < n; v++ {
-		g.ids[v] = int64(v + 1)
-	}
-	return g
 }
 
 // N returns the number of nodes.
@@ -308,6 +304,17 @@ func (g *Graph) SetIDs(ids []int64) error {
 	if len(ids) != g.n {
 		return fmt.Errorf("%w: got %d IDs for %d nodes", ErrBadID, len(ids), g.n)
 	}
+	if err := checkIDs(ids); err != nil {
+		return err
+	}
+	g.ids = append([]int64(nil), ids...)
+	g.byIDs.Store(nil)
+	return nil
+}
+
+// checkIDs returns SetIDs' error for the first node, in index order, whose
+// ID is non-positive or repeats an earlier node's, or nil.
+func checkIDs(ids []int64) error {
 	seen := make(map[int64]bool, len(ids))
 	for v, id := range ids {
 		if id <= 0 {
@@ -318,8 +325,6 @@ func (g *Graph) SetIDs(ids []int64) error {
 		}
 		seen[id] = true
 	}
-	g.ids = append([]int64(nil), ids...)
-	g.byIDs.Store(nil)
 	return nil
 }
 

@@ -14,13 +14,18 @@ import (
 
 // AssignSequentialIDs installs IDs 1..n in index order.
 func AssignSequentialIDs(g *Graph) {
-	ids := make([]int64, g.N())
+	if err := g.SetIDs(sequentialIDs(g.N())); err != nil {
+		panic(err)
+	}
+}
+
+// sequentialIDs returns the IDs 1..n.
+func sequentialIDs(n int) []int64 {
+	ids := make([]int64, n)
 	for v := range ids {
 		ids[v] = int64(v + 1)
 	}
-	if err := g.SetIDs(ids); err != nil {
-		panic(err)
-	}
+	return ids
 }
 
 // AssignPermutedIDs installs a uniformly random permutation of 1..n.

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/graph"
@@ -368,6 +369,52 @@ func TestSchedulerMaxRounds(t *testing.T) {
 	}
 	if _, _, err := Run(graph.Path(2), neverDoneProtocol{}, nil, RunConfig{}); err == nil {
 		t.Fatal("non-terminating protocol did not error")
+	}
+}
+
+// TestSchedulerWorkersStopWithRun checks that the scheduler's shard workers,
+// which live for a whole run, are gone once Run returns on the two ways out
+// that skip the last round: a node program's panic (re-raised on the
+// caller) and the maxRounds error. Goroutines that have signalled their exit
+// may still be counted for a moment, so the count is polled for a second.
+func TestSchedulerWorkersStopWithRun(t *testing.T) {
+	settled := func(want int) int {
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); got > want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		return got
+	}
+	base := settled(runtime.NumGoroutine())
+	g := graph.Cycle(300)
+	boom := errors.New("node program panic")
+	p := &GatherProtocol{Radius: 2, Decide: func(view *View) any {
+		if view.ID(view.Center) == 151 {
+			panic(boom)
+		}
+		return 0
+	}}
+	for _, workers := range []int{2, 4, 8} {
+		func() {
+			defer func() {
+				if r := recover(); r != boom {
+					t.Fatalf("%d workers: recovered %v, want the node program's panic", workers, r)
+				}
+			}()
+			Run(g, p, nil, RunConfig{Workers: workers})
+		}()
+		if got := settled(base); got != base {
+			t.Errorf("%d workers: %d goroutines after a panicking run, %d before", workers, got, base)
+		}
+	}
+	if testing.Short() {
+		return // the error path spins maxRounds rounds
+	}
+	if _, _, err := Run(graph.Path(2), neverDoneProtocol{}, nil, RunConfig{Workers: 2}); err == nil {
+		t.Fatal("non-terminating protocol did not error")
+	}
+	if got := settled(base); got != base {
+		t.Errorf("%d goroutines after a run that hit maxRounds, %d before", got, base)
 	}
 }
 

@@ -78,15 +78,16 @@ func (m *preboxedFloodMachine) Round(round int, inbox []Message) ([]Message, boo
 func (m *preboxedFloodMachine) Output() any { return m.informed }
 
 // TestSchedulerAllocsPerRoundIndependentOfGraphSize pins the scheduler's
-// steady state: the slabs, port table and per-node state are allocated once
-// per run, so each extra round adds the same number of allocations on a
-// 32×32 and a 64×64 grid at every worker count (1, 8 and 12 at workers 1, 2
-// and 4 with Go 1.24), and the same bytes to within one byte per node of
-// the smaller grid. A per-round cost that scales with n — one buffer per
-// node, or one buffer of n entries — makes the two grids differ. The
-// allocation slope is rounded to a whole allocation: a garbage collection
-// during the larger grid's runs can add one allocation to a run, which
-// moves the raw slope by 1/56.
+// steady state: the slabs, port table, per-node state and shard workers are
+// allocated once per run, so each extra round adds no allocation on a
+// 32×32 or a 64×64 grid at workers 1, 2 and 4, and the same bytes on both
+// to within one byte per node of the smaller grid. Starting the shard
+// goroutines every round, with the round captured by reference, cost 1, 8
+// and 12 allocations per round at workers 1, 2 and 4. A per-round cost that
+// scales with n — one buffer per node, or one buffer of n entries — makes
+// the two grids differ. The allocation slope is rounded to a whole
+// allocation: a garbage collection during the larger grid's runs can add
+// one allocation to a run, which moves the raw slope by 1/56.
 func TestSchedulerAllocsPerRoundIndependentOfGraphSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode adds allocations of its own; allocation counts are not reproducible")
@@ -131,6 +132,12 @@ func TestSchedulerAllocsPerRoundIndependentOfGraphSize(t *testing.T) {
 		if allocs[0] != allocs[1] {
 			t.Errorf("workers %d: each extra round adds %.0f allocations on grid 32x32 but %.0f on grid 64x64; want equal",
 				workers, allocs[0], allocs[1])
+		}
+		for i, side := range [sides]int{32, 64} {
+			if allocs[i] != 0 {
+				t.Errorf("workers %d, grid %dx%d: each extra round adds %.0f allocations, want 0",
+					workers, side, side, allocs[i])
+			}
 		}
 		if math.Abs(bytes[1]-bytes[0]) >= 32*32 {
 			t.Errorf("workers %d: each extra round allocates %.0f bytes on grid 32x32 but %.0f on grid 64x64; want equal",

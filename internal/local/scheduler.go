@@ -26,8 +26,9 @@ import (
 // reverse-port slot of the receiving neighbor. Every directed slot has
 // exactly one writer per round (the unique sender on that edge) and cur is
 // read-only while next is written, so shards of nodes can be swept by
-// parallel workers without locks; the only synchronization is the WaitGroup
-// join at the end of each round, after which the slabs swap roles.
+// parallel workers without locks. The workers are started once per run;
+// the only synchronization is each round's release and the WaitGroup join
+// at its end, after which the slabs swap roles.
 //
 // Determinism: outputs, doneAt, and done flags are written by node index,
 // message counts are summed (order-independent), and machines communicate
@@ -197,16 +198,33 @@ func runSchedulerCore(g *graph.Graph, protocol Protocol, advice Advice, cfg RunC
 		return st
 	}
 
-	shard := 0
 	var hookMsgs int64
 	var shardStats []sweepStats
 	var shardNanos []int64
+	var shards *shardWorkers
 	if workers > 1 {
-		shard = (n + workers - 1) / workers
+		shard := (n + workers - 1) / workers
 		shardStats = make([]sweepStats, workers)
-	}
-	if measure && workers > 1 {
-		shardNanos = make([]int64, workers)
+		for w := range shardStats {
+			if w*shard >= n {
+				shardStats[w] = sweepStats{allDone: true} // an empty shard never sweeps
+			}
+		}
+		if measure {
+			shardNanos = make([]int64, workers)
+		}
+		shards = startShardWorkers(n, shard, func(w, lo, hi int, job shardJob) {
+			if measure {
+				shardStart := time.Now()
+				shardStats[w] = sweep(lo, hi, job.round, job.cur, job.next)
+				shardNanos[w] = time.Since(shardStart).Nanoseconds()
+			} else {
+				shardStats[w] = sweep(lo, hi, job.round, job.cur, job.next)
+			}
+		})
+		// Every way out of the run, a panic re-raised below included,
+		// stops the workers before Run returns.
+		defer shards.stop()
 	}
 	for round := 1; ; round++ {
 		if round > maxRounds {
@@ -220,43 +238,7 @@ func runSchedulerCore(g *graph.Graph, protocol Protocol, advice Advice, cfg RunC
 		if workers <= 1 {
 			total = sweep(0, n, round, cur, next)
 		} else {
-			var (
-				wg        sync.WaitGroup
-				panicOnce sync.Once
-				panicked  any
-			)
-			for w := 0; w < workers; w++ {
-				lo := w * shard
-				hi := min(lo+shard, n)
-				if lo >= hi {
-					shardStats[w] = sweepStats{allDone: true}
-					continue
-				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					// A panicking node program is recovered here and
-					// re-raised on the caller's goroutine after the round
-					// barrier, as RunBall does, so a caller's recover sees it
-					// at any worker count.
-					defer func() {
-						if p := recover(); p != nil {
-							panicOnce.Do(func() { panicked = p })
-						}
-					}()
-					if measure {
-						shardStart := time.Now()
-						shardStats[w] = sweep(lo, hi, round, cur, next)
-						shardNanos[w] = time.Since(shardStart).Nanoseconds()
-					} else {
-						shardStats[w] = sweep(lo, hi, round, cur, next)
-					}
-				}(w, lo, hi)
-			}
-			wg.Wait()
-			if panicked != nil {
-				panic(panicked)
-			}
+			shards.round(round, cur, next)
 			total = sweepStats{allDone: true}
 			for _, st := range shardStats {
 				total.sent += st.sent
@@ -306,4 +288,79 @@ func runSchedulerCore(g *graph.Graph, protocol Protocol, advice Advice, cfg RunC
 		messages = int(hookMsgs)
 	}
 	return outputs, Stats{Rounds: rounds, Messages: messages}, nil
+}
+
+// shardJob is one round's work for a shard worker: the round number and
+// the slabs it reads and writes, passed by value.
+type shardJob struct {
+	round     int
+	cur, next []Message
+}
+
+// shardWorkers are the scheduler's per-run sweep goroutines, one per shard
+// of shard nodes. They live for the whole run, so a round starts no
+// goroutine and allocates nothing.
+type shardWorkers struct {
+	jobs   []chan shardJob // worker w's release channel
+	panics []any           // worker w's recovered panic, read after the barrier
+	swept  sync.WaitGroup  // the round barrier
+	exited sync.WaitGroup
+}
+
+// startShardWorkers cuts n nodes into contiguous shards of shard nodes and
+// starts one worker per shard; worker w runs sweep(w, lo, hi, job) on its
+// shard [lo, hi) each time round releases it.
+func startShardWorkers(n, shard int, sweep func(w, lo, hi int, job shardJob)) *shardWorkers {
+	shards := (n + shard - 1) / shard
+	sw := &shardWorkers{jobs: make([]chan shardJob, shards), panics: make([]any, shards)}
+	for w := range sw.jobs {
+		lo, hi := w*shard, min((w+1)*shard, n)
+		jobs := make(chan shardJob, 1)
+		sw.jobs[w] = jobs
+		sw.exited.Add(1)
+		go func() {
+			defer sw.exited.Done()
+			for job := range jobs {
+				sw.run(w, func() { sweep(w, lo, hi, job) })
+			}
+		}()
+	}
+	return sw
+}
+
+// run runs one sweep on worker w and passes the barrier, recovering a panic
+// into w's slot.
+func (sw *shardWorkers) run(w int, sweep func()) {
+	defer sw.swept.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			sw.panics[w] = p
+		}
+	}()
+	sweep()
+}
+
+// round releases every worker with one job and returns once all have swept
+// it. A panic in a sweep is re-raised here, on the caller's goroutine after
+// the barrier, as RunBall does, so a caller's recover sees it at any worker
+// count; with several, the lowest shard's wins.
+func (sw *shardWorkers) round(r int, cur, next []Message) {
+	sw.swept.Add(len(sw.jobs))
+	for _, jobs := range sw.jobs {
+		jobs <- shardJob{round: r, cur: cur, next: next}
+	}
+	sw.swept.Wait()
+	for _, p := range sw.panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// stop ends the workers and returns once all have exited.
+func (sw *shardWorkers) stop() {
+	for _, jobs := range sw.jobs {
+		close(jobs)
+	}
+	sw.exited.Wait()
 }

@@ -386,11 +386,23 @@ func (s Schema) decodeEdge(view *local.View, inc []int, i int, sc *walkScratch) 
 // or -1 when e is v's unpaired leftover edge. A node below the view radius
 // sees all its edges, so its pairing agrees with the host graph's.
 func viewPartnerAt(view *local.View, v, e int) int {
+	incs := view.IncidentEdges(v)
+	// With at most two visible edges no ID needs reading: a lone edge is
+	// the leftover, and of two edges each is the other's partner.
+	switch len(incs) {
+	case 1:
+		return -1
+	case 2:
+		if incs[0] == e {
+			return incs[1]
+		}
+		return incs[0]
+	}
 	id := view.ID(view.Other(e, v))
 	rank, below, above := 0, -1, -1
 	var belowID, aboveID int64
 	nbrs := view.Neighbors(v)
-	for i, f := range view.IncidentEdges(v) {
+	for i, f := range incs {
 		fid := view.ID(nbrs[i])
 		switch {
 		case f == e:

@@ -116,3 +116,41 @@ func TestWarmDecodeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmEncodeAllocs pins the warm /v1/encode path at a constant number of
+// allocations, whatever the graph size: once the graph and the advice are
+// cached, a request parses its body, looks up two keys and renders the
+// advice as bits straight into the response. When the handler built one
+// string per node and marshaled them, a warm mis encode made 1,084
+// allocations on cycle-1024 and 4,160 on cycle-4096.
+func TestWarmEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode randomizes sync.Pool retention; allocation counts are not reproducible")
+	}
+	const bound = 64
+	s := newTestServer(t, Config{})
+	for _, schema := range []string{"mis", "orient", "color3"} {
+		counts := make(map[int]float64)
+		for _, n := range []int{1024, 4096} {
+			body := fmt.Sprintf(`{"schema":%q,"graph":{"family":"cycle","n":%d}}`, schema, n)
+			post := func() {
+				r := httptest.NewRequest("POST", "/v1/encode", strings.NewReader(body))
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, r)
+				if w.Code != http.StatusOK {
+					t.Fatalf("%s/cycle-%d: HTTP %d: %s", schema, n, w.Code, w.Body)
+				}
+			}
+			post() // computes and caches the graph and the advice
+			counts[n] = testing.AllocsPerRun(50, post)
+			t.Logf("%s/cycle-%d: %.0f allocations per warm encode", schema, n, counts[n])
+			if counts[n] > bound {
+				t.Errorf("%s/cycle-%d: %.0f allocations per warm encode, want at most %d", schema, n, counts[n], bound)
+			}
+		}
+		if counts[1024] != counts[4096] {
+			t.Errorf("%s: %.0f allocations per warm encode at cycle-1024 but %.0f at cycle-4096; want the same",
+				schema, counts[1024], counts[4096])
+		}
+	}
+}

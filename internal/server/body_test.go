@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"slices"
+	"strings"
 	"testing"
 
 	"localadvice/internal/bitstr"
+	"localadvice/internal/graph"
 	"localadvice/internal/harness"
 	"localadvice/internal/lcl"
 	"localadvice/internal/local"
@@ -217,6 +221,99 @@ func TestAppendJSONIntsMatchesMarshal(t *testing.T) {
 		want, _ := json.Marshal(labels)
 		if got := string(appendJSONInts(nil, labels)); got != string(want) {
 			t.Errorf("appendJSONInts(%#v) = %s, json.Marshal %s", labels, got, want)
+		}
+	}
+}
+
+// TestEncodeBodyMatchesMarshal is the oracle for the rendered encode body:
+// for every registered schema on a cycle, a torus and a one-node inline
+// graph, the raw body of a cache-off request, a miss and a hit equals
+// json.Marshal of the EncodeResponse built from an independently run
+// prover, with one String() per node as the advice and the request's cached
+// and elapsed_nanos values, plus a newline.
+func TestEncodeBodyMatchesMarshal(t *testing.T) {
+	s := newTestServer(t, Config{})
+	specs := append(slices.Clone(bodyTestSpecs), GraphSpec{Text: "n 1\n"})
+	for _, name := range schemaNames(s.schemas) {
+		sc := s.schemas[name]
+		for _, spec := range specs {
+			label := fmt.Sprintf("%s/%s-%d", name, spec.Family, spec.N)
+			var g *graph.Graph
+			var err error
+			if spec.Text != "" {
+				label = name + "/inline"
+				g, err = graph.ReadEdgeList(strings.NewReader(spec.Text))
+			} else {
+				g, err = harness.BuildGraph(spec.Family, spec.N, spec.Seed)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var advice local.Advice
+			if sc.EncodeSeeded != nil {
+				advice, err = sc.EncodeSeeded(g, spec.Seed)
+			} else {
+				advice, err = sc.Encode(g)
+			}
+			specJSON, _ := json.Marshal(spec)
+			base := fmt.Sprintf(`{"schema":%q,"graph":%s`, name, specJSON)
+			for _, step := range []struct {
+				name, body string
+				hit        bool
+			}{
+				{"cache off", base + `,"cache":false}`, false},
+				{"miss", base + "}", false},
+				{"hit", base + "}", true},
+				{"cache off after a hit", base + `,"cache":false}`, false},
+				{"flush", "", false},
+				{"miss after a flush", base + "}", false},
+			} {
+				if step.name == "flush" {
+					doReq(t, s, "POST", "/v1/cache/flush", `{}`)
+					continue
+				}
+				w := doReq(t, s, "POST", "/v1/encode", step.body)
+				if err != nil {
+					if w.Code == http.StatusOK {
+						t.Errorf("%s, %s: 200, but the prover fails: %v", label, step.name, err)
+					}
+					continue
+				}
+				if w.Code != http.StatusOK {
+					t.Fatalf("%s, %s: %d %s", label, step.name, w.Code, w.Body)
+				}
+				if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+					t.Errorf("%s, %s: Content-Type %q", label, step.name, ct)
+				}
+				var got EncodeResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+					t.Fatalf("%s, %s: %v", label, step.name, err)
+				}
+				if got.Cached != step.hit {
+					t.Errorf("%s, %s: cached = %v, want %v", label, step.name, got.Cached, step.hit)
+				}
+				resp := EncodeResponse{
+					Schema:      name,
+					GraphDigest: g.Digest(),
+					N:           g.N(),
+					Advice:      make([]string, len(advice)),
+					TotalBits:   advice.TotalBits(),
+					Holders:     len(advice.BitHolders()),
+					Cached:      got.Cached,
+					ElapsedNano: got.ElapsedNano,
+				}
+				for v, a := range advice {
+					resp.Advice[v] = a.String()
+				}
+				want, err := json.Marshal(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if body := w.Body.String(); body != string(want)+"\n" {
+					t.Errorf("%s, %s: body differs from json.Marshal(EncodeResponse)\n got: %.300s\nwant: %.300s",
+						label, step.name, body, want)
+				}
+			}
 		}
 	}
 }

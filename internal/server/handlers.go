@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -259,7 +260,17 @@ func (s *Server) resolveGraph(spec GraphSpec, cached bool, src string) (*cachedG
 	}
 	var build func() (*graph.Graph, error)
 	if spec.Text != "" {
-		build = func() (*graph.Graph, error) { return graph.ReadEdgeList(strings.NewReader(spec.Text)) }
+		// The bound stops the parse at the n line, before the parser
+		// allocates anything for a count the server would refuse.
+		build = func() (*graph.Graph, error) {
+			g, err := graph.ReadEdgeListBounded(strings.NewReader(spec.Text), s.cfg.MaxNodes)
+			var tooMany *graph.NodeLimitError
+			if errors.As(err, &tooMany) {
+				return nil, errf(http.StatusRequestEntityTooLarge, "graph_too_large",
+					"graph has %d nodes, server bound is %d", tooMany.N, s.cfg.MaxNodes)
+			}
+			return g, err
+		}
 	} else {
 		if spec.N > s.cfg.MaxNodes {
 			return nil, false, errf(http.StatusRequestEntityTooLarge, "graph_too_large",
@@ -310,18 +321,9 @@ func solutionSize(art *decodeArtifact) int64 {
 	return 64 + 8*int64(len(art.sol.Node)+len(art.sol.Edge)) + int64(cap(art.body))
 }
 
-// adviceStrings renders advice as one "0101" string per node.
-func adviceStrings(a local.Advice) []string {
-	out := make([]string, len(a))
-	for v, s := range a {
-		out[v] = s.String()
-	}
-	return out
-}
-
 // adviceDigest is the advice component of decode: and table: keys: the hex
 // SHA-256 of every node's bits as '0'/'1' text, each node's text followed by
-// a 0 byte — byte for byte sha256hex(adviceStrings(a)...), the form stored
+// a 0 byte — byte for byte the hash of one String() per node that stored
 // table keys were written with (DESIGN.md decision 7). It streams the bits
 // through one buffer rather than building a string per node. Request advice
 // hashes the same: bitstr.Parse accepts only '0' and '1', so the request's
@@ -581,16 +583,51 @@ func (s *Server) handleEncode(ctx context.Context, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	return &EncodeResponse{
-		Schema:      sc.Name,
-		GraphDigest: cg.digest,
-		N:           cg.g.N(),
-		Advice:      adviceStrings(adv.advice),
-		TotalBits:   adv.advice.TotalBits(),
-		Holders:     len(adv.advice.BitHolders()),
-		Cached:      hit,
-		ElapsedNano: time.Since(start).Nanoseconds(),
-	}, nil
+	return encodeBody(sc.Name, cg.digest, cg.g.N(), adv.advice, hit, time.Since(start).Nanoseconds()), nil
+}
+
+// encodeBody renders one request's /v1/encode response, byte for byte
+// json.Marshal(EncodeResponse) and a newline (TestEncodeBodyMatchesMarshal
+// holds it to that), in one buffer: each node's bits go into the body as
+// '0'/'1' text, with no string per node. The body is not cached: nearly
+// every encode of a new graph is its first.
+func encodeBody(schema, graphDigest string, n int, advice local.Advice, hit bool, elapsedNanos int64) jsonBody {
+	name, _ := json.Marshal(schema) // marshaling a string cannot fail
+	digest, _ := json.Marshal(graphDigest)
+	totalBits, holders := 0, 0
+	for _, s := range advice {
+		totalBits += s.Len()
+		if s.Len() > 0 {
+			holders++
+		}
+	}
+	b := make([]byte, 0, 192+len(name)+len(digest)+totalBits+3*len(advice))
+	b = append(b, `{"schema":`...)
+	b = append(b, name...)
+	b = append(b, `,"graph_digest":`...)
+	b = append(b, digest...)
+	b = append(b, `,"n":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, `,"advice":[`...)
+	for v, s := range advice {
+		if v > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		for i := 0; i < s.Len(); i++ {
+			b = append(b, '0'+byte(s.Bit(i)))
+		}
+		b = append(b, '"')
+	}
+	b = append(b, `],"total_bits":`...)
+	b = strconv.AppendInt(b, int64(totalBits), 10)
+	b = append(b, `,"holders":`...)
+	b = strconv.AppendInt(b, int64(holders), 10)
+	b = append(b, `,"cached":`...)
+	b = strconv.AppendBool(b, hit)
+	b = append(b, `,"elapsed_nanos":`...)
+	b = strconv.AppendInt(b, elapsedNanos, 10)
+	return append(b, "}\n"...)
 }
 
 // DecodeRequest is the body of POST /v1/decode. Advice is optional: when

@@ -266,7 +266,7 @@ type errorBody struct {
 
 // jsonBody is a response already rendered as JSON, trailing newline
 // included: writeJSON writes it as it is instead of marshaling. The decode
-// handler answers with one (decodeArtifact.response).
+// and encode handlers answer with one (decodeArtifact.response, encodeBody).
 type jsonBody []byte
 
 func writeJSON(w http.ResponseWriter, status int, v any) int {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -113,6 +114,8 @@ func TestEndpointMatrix(t *testing.T) {
 		{"encode/oversized-graph", "POST", "/v1/encode", `{"schema":"mis","graph":{"family":"cycle","n":100000}}`, 413, "graph_too_large"},
 		{"decode/oversized-graph", "POST", "/v1/decode", `{"schema":"mis","graph":{"family":"cycle","n":65}}`, 413, "graph_too_large"},
 		{"verify/oversized-graph", "POST", "/v1/verify", `{"schema":"mis","graph":{"family":"grid","n":4096}}`, 413, "graph_too_large"},
+		{"encode/oversized-inline-graph", "POST", "/v1/encode", `{"schema":"mis","graph":{"text":"n 65\n"}}`, 413, "graph_too_large"},
+		{"decode/inline-graph-at-bound", "POST", "/v1/decode", `{"schema":"mis","graph":{"text":"n 64\n"}}`, 200, ""},
 
 		// --- unknown schema ---
 		{"encode/unknown-schema", "POST", "/v1/encode", `{"schema":"quantum","graph":` + cycleGraph + `}`, 404, "unknown_schema"},
@@ -186,6 +189,33 @@ func TestEndpointMatrix(t *testing.T) {
 	}
 	if st.Bypasses != sum {
 		t.Errorf("cache_bypasses = %d, want the by-endpoint sum %d", st.Bypasses, sum)
+	}
+}
+
+// TestInlineGraphOverBoundAllocatesNothing pins the node bound on inline
+// graphs before they are built: a 47-byte body naming 1,048,576 nodes (the
+// parser's cap, so not malformed) is refused with the 413 it always got,
+// byte for byte, but now at the n line. Parsing first and checking the
+// count afterwards allocated 58.8 MB for it, which eight in-flight requests
+// could hold at once with no authentication.
+func TestInlineGraphOverBoundAllocatesNothing(t *testing.T) {
+	s := newTestServer(t, Config{})
+	const body = `{"schema":"mis","graph":{"text":"n 1048576\n"}}`
+	const want = `{"error":"graph has 1048576 nodes, server bound is 200000","code":"graph_too_large"}` + "\n"
+	for _, path := range []string{"/v1/encode", "/v1/decode"} {
+		doReq(t, s, "POST", path, body) // the server's own first-request set-up
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := doReq(t, s, "POST", path, body)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusRequestEntityTooLarge || w.Body.String() != want {
+			t.Errorf("%s: HTTP %d %q, want 413 %q", path, w.Code, w.Body, want)
+		}
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d bytes allocated", path, allocated)
+		if allocated >= 1<<20 {
+			t.Errorf("%s: the refused request allocated %d bytes, want under 1 MiB", path, allocated)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check check-race cover fuzz bench exp serve-smoke clean
+.PHONY: all build test check check-race cover deadcode fuzz bench exp serve-smoke clean
 
 all: build
 
@@ -10,8 +10,8 @@ build:
 test:
 	$(GO) test ./...
 
-# CI gate: vet, gofmt (any file `gofmt -l` lists fails the gate), the full
-# suite (which replays every fuzz seed corpus and runs the exact-count pins:
+# CI gate: vet, gofmt (any file `gofmt -l` lists fails the gate), the
+# unlinked-function scan (`make deadcode`), the full suite (which replays every fuzz seed corpus and runs the exact-count pins:
 # goldens, message and round counts, allocations per run), a race-enabled
 # run of the engine-equivalence, scratch-reuse, fault-injection and
 # panic-to-caller tests — the tests most likely to catch a data race
@@ -24,6 +24,7 @@ test:
 check:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
+	$(MAKE) deadcode
 	$(GO) test ./...
 	$(GO) test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp|Deterministic|RunDecider|PanicReachesCaller' ./internal/local ./internal/fault ./internal/decomp ./internal/lll ./internal/growth ./internal/eth ./internal/orient ./internal/coloring
 	$(GO) test -race -count=1 -run 'Race|Singleflight|Property|Flush|Cached' ./internal/server ./internal/cache ./internal/cluster
@@ -61,18 +62,29 @@ cover:
 	} \
 	END { exit bad }'
 
+# Unlinked-function scan: builds locad, the examples and perfbench with
+# inlining off and fails on any function or method declared under
+# internal/ that none of them links and scripts/deadcode's keep list does
+# not name with a reason.
+deadcode:
+	$(GO) run ./scripts/deadcode
+
 # Exhaustive race gate (slower): the whole suite under the race detector.
 check-race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Short fuzzing bursts on the parser and advice-codec fuzz targets; the seed
-# corpora alone run on every plain `go test`.
+# Short fuzzing bursts on the parser and advice-codec fuzz targets and on
+# the two binary frames the server accepts without authentication (LAAR
+# imports, LADB batches); the seed corpora alone run on every plain
+# `go test`.
 fuzz:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=30s ./internal/graph
 	$(GO) test -fuzz=FuzzDecodeVarArbitraryAdvice -fuzztime=30s ./internal/orient
 	$(GO) test -fuzz=FuzzDecodeArbitraryBits -fuzztime=30s ./internal/growth
 	$(GO) test -fuzz=FuzzHandleDecode -fuzztime=30s ./internal/server
+	$(GO) test -fuzz=FuzzImportFrame -fuzztime=30s ./internal/server
+	$(GO) test -fuzz=FuzzBatchFrame -fuzztime=30s ./internal/server
 	$(GO) test -fuzz=FuzzTableBinary -fuzztime=30s ./internal/persist
 	$(GO) test -fuzz=FuzzDecompose -fuzztime=30s ./internal/decomp
 	$(GO) test -fuzz=FuzzSolveDeterministic -fuzztime=30s ./internal/lll

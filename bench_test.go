@@ -289,7 +289,7 @@ func BenchmarkMoserTardos(b *testing.B) {
 	b.ResetTimer()
 	resamplings := 0
 	for i := 0; i < b.N; i++ {
-		res, err := lll.Solve(in, rng, 1<<20)
+		res, err := lll.Solve(in, rng, 1<<20, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func BenchmarkMoserTardosLarge(b *testing.B) {
 	b.ResetTimer()
 	resamplings := 0
 	for i := 0; i < b.N; i++ {
-		res, err := lll.Solve(in, rng, 1<<22)
+		res, err := lll.Solve(in, rng, 1<<22, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func BenchmarkSolve3Coloring(b *testing.B) {
 	g, _ := graph.RandomColorable(80, 3, 0.1, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := coloring.Solve3Coloring(g); !ok {
+		if _, ok := coloring.SolveKColoring(g, 3); !ok {
 			b.Fatal("unsolved")
 		}
 	}

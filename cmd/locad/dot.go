@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"os"
 
-	"localadvice/internal/coloring"
 	"localadvice/internal/graph"
-	"localadvice/internal/lcl"
-	"localadvice/internal/orient"
+	"localadvice/internal/harness"
 	"localadvice/internal/viz"
 )
 
@@ -24,36 +22,16 @@ func cmdDot(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := makeGraph(*kind, *n, *seed)
+	g, err := harness.BuildGraph(*kind, *n, *seed)
 	if err != nil {
 		return err
 	}
 	opts := viz.Options{Name: "locad"}
 	switch *schema {
 	case "none":
-	case "orient":
-		s := orient.Schema{P: orient.DefaultParams()}
-		va, err := s.EncodeVar(g, nil)
+	case "orient", "color3":
+		advice, sol, _, err := runSchema(*schema, g)
 		if err != nil {
-			return err
-		}
-		sol, _, err := s.DecodeVar(g, va, nil)
-		if err != nil {
-			return err
-		}
-		opts.Advice = va.Dense(g.N())
-		opts.Solution = sol
-	case "color3":
-		s := coloring.ThreeColoring{CoverRadius: 10, GroupSpread: 2}
-		advice, err := s.Encode(g)
-		if err != nil {
-			return err
-		}
-		sol, _, err := s.Decode(g, advice)
-		if err != nil {
-			return err
-		}
-		if err := lcl.Verify(lcl.Coloring{K: 3}, g, sol); err != nil {
 			return err
 		}
 		opts.Advice = advice
@@ -82,7 +60,7 @@ func cmdGen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := makeGraph(*kind, *n, *seed)
+	g, err := harness.BuildGraph(*kind, *n, *seed)
 	if err != nil {
 		return err
 	}

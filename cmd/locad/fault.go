@@ -33,7 +33,7 @@ func cmdFault(args []string) error {
 		return err
 	}
 	applyWorkers(*workers)
-	g, err := makeGraph(*kind, *n, *seed)
+	g, err := harness.BuildGraph(*kind, *n, *seed)
 	if err != nil {
 		return err
 	}

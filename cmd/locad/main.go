@@ -25,8 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"localadvice/internal/coloring"
-	"localadvice/internal/core"
 	"localadvice/internal/decompress"
 	"localadvice/internal/graph"
 	"localadvice/internal/harness"
@@ -51,12 +49,8 @@ func run(args []string) error {
 	switch args[0] {
 	case "exp":
 		return cmdExp(args[1:])
-	case "orient":
-		return cmdOrient(args[1:])
-	case "color3":
-		return cmdColor3(args[1:])
-	case "deltacolor":
-		return cmdDeltaColor(args[1:])
+	case "orient", "color3", "deltacolor":
+		return cmdSchema(args[0], args[1:])
 	case "compress":
 		return cmdCompress(args[1:])
 	case "graphinfo":
@@ -136,9 +130,9 @@ subcommands:
   store {ls,gc,verify}  inspect, garbage-collect or integrity-check a
                     persistent artifact store directory (-dir)
 
-common flags: -graph {cycle,path,grid,torus,regular,planted3,planted4,gnp} -n <size> -seed <s>
+common flags: -graph {%s} -n <size> -seed <s>
               -workers <w>  view-engine / experiment worker count (0 = GOMAXPROCS)
-`)
+`, strings.Join(harness.GraphFamilies(), ","))
 }
 
 // workersFlag registers the shared -workers flag. applyWorkers must be
@@ -250,113 +244,56 @@ func writeExpSummaries(path string, results []harness.ExperimentResult) error {
 
 // graphFlags parses the shared graph-construction flags.
 func graphFlags(fs *flag.FlagSet) (kind *string, n *int, seed *int64) {
-	kind = fs.String("graph", "cycle", "graph family: cycle, path, grid, torus, regular, planted3, planted4, gnp")
+	kind = fs.String("graph", "cycle", "graph family: "+strings.Join(harness.GraphFamilies(), ", "))
 	n = fs.Int("n", 120, "graph size (nodes; grids/tori use the nearest rectangle)")
 	seed = fs.Int64("seed", 1, "random seed for generated graphs and IDs")
 	return
 }
 
-// makeGraph delegates to the harness's request-shaped graph constructor so
-// the CLI and the serving API build identical graphs from identical specs.
-func makeGraph(kind string, n int, seed int64) (*graph.Graph, error) {
-	return harness.BuildGraph(kind, n, seed)
-}
-
-func cmdOrient(args []string) error {
-	fs := flag.NewFlagSet("orient", flag.ContinueOnError)
+// cmdSchema runs one harness schema adapter end to end on a generated
+// graph: encode, decode, verify, then a report of the graph, the schema,
+// its advice and the decode rounds.
+func cmdSchema(name string, args []string) error {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	kind, n, seed := graphFlags(fs)
-	spacing := fs.Int("spacing", 12, "mark spacing along trails")
 	workers := workersFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	applyWorkers(*workers)
-	g, err := makeGraph(*kind, *n, *seed)
+	g, err := harness.BuildGraph(*kind, *n, *seed)
 	if err != nil {
 		return err
 	}
-	s := orient.Schema{P: orient.Params{MarkSpacing: *spacing, MarkWindow: *spacing}}
-	va, err := s.EncodeVar(g, nil)
+	advice, _, stats, err := runSchema(name, g)
 	if err != nil {
 		return err
 	}
-	sol, stats, err := s.DecodeVar(g, va, nil)
-	if err != nil {
-		return err
-	}
-	if err := lcl.Verify(lcl.BalancedOrientation{}, g, sol); err != nil {
-		return err
-	}
-	fmt.Printf("%s: almost-balanced orientation decoded and verified\n", g)
+	fmt.Printf("%s: %s decoded and verified\n", g, name)
 	fmt.Printf("  bit holders: %d (%d advice bits total), decode rounds: %d\n",
-		len(va), va.TotalBits(), stats.Rounds)
-	_, base := orient.NoAdviceOrientation(g)
-	fmt.Printf("  no-advice baseline would need %d rounds\n", base.Rounds)
+		len(advice.BitHolders()), advice.TotalBits(), stats.Rounds)
 	return nil
 }
 
-func cmdColor3(args []string) error {
-	fs := flag.NewFlagSet("color3", flag.ContinueOnError)
-	kind, n, seed := graphFlags(fs)
-	workers := workersFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+// runSchema encodes g with the named harness.FaultSchemaByName adapter,
+// decodes the advice and verifies the output against the schema's problem.
+func runSchema(name string, g *graph.Graph) (local.Advice, *lcl.Solution, local.Stats, error) {
+	s, ok := harness.FaultSchemaByName(name)
+	if !ok {
+		return nil, nil, local.Stats{}, fmt.Errorf("unknown schema %q", name)
 	}
-	applyWorkers(*workers)
-	g, err := makeGraph(*kind, *n, *seed)
+	advice, err := s.Encode(g)
 	if err != nil {
-		return err
+		return nil, nil, local.Stats{}, err
 	}
-	schema := coloring.ThreeColoring{CoverRadius: 10, GroupSpread: 2}
-	advice, err := schema.Encode(g)
+	sol, stats, err := s.Decode(g, advice)
 	if err != nil {
-		return err
+		return nil, nil, local.Stats{}, err
 	}
-	sol, stats, err := schema.Decode(g, advice)
-	if err != nil {
-		return err
+	if err := lcl.Verify(s.Problem(g), g, sol); err != nil {
+		return nil, nil, local.Stats{}, err
 	}
-	if err := lcl.Verify(lcl.Coloring{K: 3}, g, sol); err != nil {
-		return err
-	}
-	ratio, err := core.Sparsity(advice)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: proper 3-coloring decoded from 1 bit per node\n", g)
-	fmt.Printf("  ones ratio: %.4f, decode rounds: %d\n", ratio, stats.Rounds)
-	return nil
-}
-
-func cmdDeltaColor(args []string) error {
-	fs := flag.NewFlagSet("deltacolor", flag.ContinueOnError)
-	kind, n, seed := graphFlags(fs)
-	workers := workersFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	applyWorkers(*workers)
-	g, err := makeGraph(*kind, *n, *seed)
-	if err != nil {
-		return err
-	}
-	delta := g.MaxDegree()
-	p := coloring.NewDeltaPipeline(delta, 4)
-	va, err := p.EncodeVar(g, nil)
-	if err != nil {
-		return err
-	}
-	sol, stats, err := p.DecodeVar(g, va, nil)
-	if err != nil {
-		return err
-	}
-	if err := lcl.Verify(lcl.Coloring{K: delta}, g, sol); err != nil {
-		return err
-	}
-	fmt.Printf("%s: Δ-coloring with Δ = %d decoded and verified\n", g, delta)
-	fmt.Printf("  bit holders: %d, decode rounds: %d, colors used: %d\n",
-		len(va), stats.Rounds, coloring.MaxColor(sol.Node))
-	return nil
+	return advice, sol, stats, nil
 }
 
 func cmdCompress(args []string) error {
@@ -417,7 +354,7 @@ func cmdEngine(args []string) error {
 		return err
 	}
 	w := applyWorkers(*workers)
-	g, err := makeGraph(*kind, *n, *seed)
+	g, err := harness.BuildGraph(*kind, *n, *seed)
 	if err != nil {
 		return err
 	}
@@ -447,7 +384,7 @@ func cmdGraphInfo(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := makeGraph(*kind, *n, *seed)
+	g, err := harness.BuildGraph(*kind, *n, *seed)
 	if err != nil {
 		return err
 	}

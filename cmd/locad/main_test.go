@@ -108,21 +108,6 @@ func TestNegativeRadiusOneLine(t *testing.T) {
 	}
 }
 
-func TestMakeGraphFamilies(t *testing.T) {
-	for _, kind := range []string{"cycle", "path", "grid", "torus", "regular", "planted3", "planted4", "gnp"} {
-		g, err := makeGraph(kind, 40, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if g.N() < 30 {
-			t.Errorf("%s: suspiciously small graph n=%d", kind, g.N())
-		}
-		if err := g.Validate(); err != nil {
-			t.Errorf("%s: %v", kind, err)
-		}
-	}
-}
-
 func TestGrowthSchemaNames(t *testing.T) {
 	for _, p := range []string{"3-coloring", "4-coloring", "mis", "maximal-matching"} {
 		if _, err := growthSchema(p, 20); err != nil {

@@ -9,6 +9,7 @@ import (
 	"localadvice/internal/bitstr"
 	"localadvice/internal/graph"
 	"localadvice/internal/growth"
+	"localadvice/internal/harness"
 	"localadvice/internal/lcl"
 	"localadvice/internal/local"
 )
@@ -23,7 +24,7 @@ func cmdProve(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := makeGraph(*kind, *n, *seed)
+	g, err := harness.BuildGraph(*kind, *n, *seed)
 	if err != nil {
 		return err
 	}
@@ -59,7 +60,7 @@ func cmdVerifyProof(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := makeGraph(*kind, *n, *seed)
+	g, err := harness.BuildGraph(*kind, *n, *seed)
 	if err != nil {
 		return err
 	}

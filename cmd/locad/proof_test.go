@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"localadvice/internal/harness"
 )
 
 // proveString regenerates the proof for the given problem on the graph the
@@ -11,7 +13,7 @@ import (
 // `locad prove` prints — the input format of `locad verifyproof`.
 func proveString(t *testing.T, problem, kind string, n int, seed int64, radius int) string {
 	t.Helper()
-	g, err := makeGraph(kind, n, seed)
+	g, err := harness.BuildGraph(kind, n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime/pprof"
 
+	"localadvice/internal/harness"
 	"localadvice/internal/local"
 	"localadvice/internal/obs"
 )
@@ -27,7 +28,7 @@ func cmdTrace(args []string) error {
 		return err
 	}
 	w := applyWorkers(*workers)
-	g, err := makeGraph(*kind, *n, *seed)
+	g, err := harness.BuildGraph(*kind, *n, *seed)
 	if err != nil {
 		return err
 	}

@@ -80,9 +80,6 @@ func FromUint(v uint64, width int) String {
 // Len returns the number of bits.
 func (s String) Len() int { return len(s.bits) }
 
-// IsEmpty reports whether the string holds no bits.
-func (s String) IsEmpty() bool { return len(s.bits) == 0 }
-
 // Bit returns the i-th bit (0 or 1).
 func (s String) Bit(i int) int { return int(s.bits[i]) }
 

@@ -25,8 +25,14 @@ package cache
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
+
+// ErrComputePanicked is what Do returns to the callers that waited on a
+// compute which panicked. The caller that ran the compute gets the panic
+// itself.
+var ErrComputePanicked = errors.New("cache: compute panicked")
 
 // Stats is a point-in-time snapshot of the cache counters. Hits, Dedups,
 // Misses and Computes partition Do outcomes: every Do is a hit, a dedup
@@ -97,7 +103,9 @@ func New(maxBytes int64) *Cache {
 // bytes. hit reports whether the caller was served without running compute
 // itself (a resident entry or another caller's in-flight computation).
 // Errors are never cached: every waiter of a failed compute receives the
-// error, and the next Do for the key computes again.
+// error, and the next Do for the key computes again. A panicking compute is
+// not cached either: its waiters receive ErrComputePanicked, the key is
+// free for the next Do, and the panic continues in the caller that ran it.
 func (c *Cache) Do(key string, compute func() (value any, size int64, err error)) (value any, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -120,7 +128,18 @@ func (c *Cache) Do(key string, compute func() (value any, size int64, err error)
 	startGen := c.gen
 	c.mu.Unlock()
 
+	completed := false
+	defer func() {
+		if !completed {
+			cl.err = ErrComputePanicked
+			c.mu.Lock()
+			delete(c.inflight, key)
+			c.mu.Unlock()
+			close(cl.done)
+		}
+	}()
 	v, size, err := compute()
+	completed = true
 	cl.value, cl.err = v, err
 
 	c.mu.Lock()

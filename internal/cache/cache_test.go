@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func constant(v any, size int64) func() (any, int64, error) {
@@ -162,5 +163,51 @@ func TestSingleflightComputesOnce(t *testing.T) {
 	st := c.Stats()
 	if st.Computes != 1 || st.Dedups != callers-1 {
 		t.Fatalf("stats %+v, want 1 compute and %d dedups", st, callers-1)
+	}
+}
+
+// TestSingleflightComputePanic: a compute that panics releases its waiters
+// with ErrComputePanicked, the panic reaches the caller that ran it, and
+// the key is free: the next Do computes again.
+func TestSingleflightComputePanic(t *testing.T) {
+	c := New(1 << 20)
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do("k", func() (any, int64, error) {
+			<-release
+			panic("compute failed")
+		})
+	}()
+	for c.Stats().Computes < 1 {
+		runtime.Gosched()
+	}
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do("k", func() (any, int64, error) { return "unused", 1, nil })
+		waiter <- err
+	}()
+	for c.Stats().Dedups < 1 {
+		runtime.Gosched()
+	}
+	close(release)
+	if p := <-recovered; p != "compute failed" {
+		t.Fatalf("the computing caller recovered %v, want the compute's panic", p)
+	}
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, ErrComputePanicked) {
+			t.Fatalf("waiter err = %v, want ErrComputePanicked", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked after the compute panicked")
+	}
+	v, hit, err := c.Do("k", func() (any, int64, error) { return "value", 5, nil })
+	if v != "value" || hit || err != nil {
+		t.Fatalf("Do after the panic = (%v, %v, %v), want a fresh compute", v, hit, err)
+	}
+	if st := c.Stats(); st.Computes != 2 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 2 computes and 1 entry", st)
 	}
 }

@@ -17,7 +17,7 @@ func TestDecodeBallAllocsPerNode(t *testing.T) {
 	}
 	tc := ThreeColoring{CoverRadius: 10, GroupSpread: 2}
 	g := graph.Cycle(1024)
-	advice, err := tc.EncodeLLL(g, rand.New(rand.NewSource(1)), 1<<20)
+	advice, err := tc.EncodeLLL(g, rand.New(rand.NewSource(1)), 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

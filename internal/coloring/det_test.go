@@ -38,19 +38,19 @@ func TestEncodeDetValidAndSeedFree(t *testing.T) {
 	for name, g := range families {
 		t.Run(name, func(t *testing.T) {
 			graph.AssignPermutedIDs(g, rand.New(rand.NewSource(1)))
-			det, err := tc.EncodeDet(g)
+			det, err := tc.EncodeDet(g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fp := colorAdviceFingerprint(det)
-			again, err := tc.EncodeDet(g)
+			again, err := tc.EncodeDet(g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if colorAdviceFingerprint(again) != fp {
 				t.Fatal("EncodeDet is not deterministic")
 			}
-			dec, err := tc.EncodeDecomposed(g)
+			dec, err := tc.EncodeDecomposed(g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestEncodeDetValidAndSeedFree(t *testing.T) {
 			if err := lcl.Verify(lcl.Coloring{K: 3}, g, sol); err != nil {
 				t.Fatal(err)
 			}
-			mt, err := tc.EncodeLLL(g, rand.New(rand.NewSource(9)), 1<<20)
+			mt, err := tc.EncodeLLL(g, rand.New(rand.NewSource(9)), 1<<20, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -241,14 +241,9 @@ func (t ThreeColoring) finish(g *graph.Graph, sys *selectSystem, choices []int) 
 // EncodeLLL computes the Theorem 7.1 advice with the group choices resolved
 // by Moser–Tardos resampling over the explicit selection instance — the
 // constructive form of the paper's Section 7 LLL invocation. rng drives the
-// resampling; maxResamplings caps the work.
-func (t ThreeColoring) EncodeLLL(g *graph.Graph, rng *rand.Rand, maxResamplings int) (local.Advice, error) {
-	return t.EncodeLLLObserved(g, rng, maxResamplings, obs.Default())
-}
-
-// EncodeLLLObserved is EncodeLLL reporting solver metrics into an explicit
-// collector.
-func (t ThreeColoring) EncodeLLLObserved(g *graph.Graph, rng *rand.Rand, maxResamplings int, m *obs.Collector) (local.Advice, error) {
+// resampling; maxResamplings caps the work. Solver metrics go to m; nil
+// records nothing.
+func (t ThreeColoring) EncodeLLL(g *graph.Graph, rng *rand.Rand, maxResamplings int, m *obs.Collector) (local.Advice, error) {
 	sys, err := t.buildSelectSystem(g)
 	if err != nil {
 		return nil, err
@@ -256,7 +251,7 @@ func (t ThreeColoring) EncodeLLLObserved(g *graph.Graph, rng *rand.Rand, maxResa
 	if len(sys.rulers) == 0 {
 		return t.finish(g, sys, nil)
 	}
-	res, err := lll.SolveObserved(sys.inst, rng, maxResamplings, m)
+	res, err := lll.Solve(sys.inst, rng, maxResamplings, m)
 	if err != nil {
 		return nil, fmt.Errorf("coloring: LLL group selection: %w", err)
 	}
@@ -265,13 +260,9 @@ func (t ThreeColoring) EncodeLLLObserved(g *graph.Graph, rng *rand.Rand, maxResa
 
 // EncodeDet is the derandomized EncodeLLL: group choices are fixed by the
 // method of conditional expectations (lll.SolveDeterministic). No RNG — the
-// advice is a pure function of the graph, identical across seeds.
-func (t ThreeColoring) EncodeDet(g *graph.Graph) (local.Advice, error) {
-	return t.EncodeDetObserved(g, obs.Default())
-}
-
-// EncodeDetObserved is EncodeDet with an explicit metrics collector.
-func (t ThreeColoring) EncodeDetObserved(g *graph.Graph, m *obs.Collector) (local.Advice, error) {
+// advice is a pure function of the graph, identical across seeds. Solver
+// metrics go to m; nil records nothing.
+func (t ThreeColoring) EncodeDet(g *graph.Graph, m *obs.Collector) (local.Advice, error) {
 	sys, err := t.buildSelectSystem(g)
 	if err != nil {
 		return nil, err
@@ -279,7 +270,7 @@ func (t ThreeColoring) EncodeDetObserved(g *graph.Graph, m *obs.Collector) (loca
 	if len(sys.rulers) == 0 {
 		return t.finish(g, sys, nil)
 	}
-	res, err := lll.SolveDeterministicObserved(sys.inst, m)
+	res, err := lll.SolveDeterministic(sys.inst, m)
 	if err != nil {
 		return nil, fmt.Errorf("coloring: deterministic group selection: %w", err)
 	}
@@ -288,13 +279,8 @@ func (t ThreeColoring) EncodeDetObserved(g *graph.Graph, m *obs.Collector) (loca
 
 // EncodeDecomposed is EncodeDet running ball-by-ball over the selection
 // instance's event dependency graph (lll.SolveDecomposed). Also RNG-free.
-func (t ThreeColoring) EncodeDecomposed(g *graph.Graph) (local.Advice, error) {
-	return t.EncodeDecomposedObserved(g, obs.Default())
-}
-
-// EncodeDecomposedObserved is EncodeDecomposed with an explicit metrics
-// collector.
-func (t ThreeColoring) EncodeDecomposedObserved(g *graph.Graph, m *obs.Collector) (local.Advice, error) {
+// Solver metrics go to m; nil records nothing.
+func (t ThreeColoring) EncodeDecomposed(g *graph.Graph, m *obs.Collector) (local.Advice, error) {
 	sys, err := t.buildSelectSystem(g)
 	if err != nil {
 		return nil, err
@@ -302,7 +288,7 @@ func (t ThreeColoring) EncodeDecomposedObserved(g *graph.Graph, m *obs.Collector
 	if len(sys.rulers) == 0 {
 		return t.finish(g, sys, nil)
 	}
-	res, err := lll.SolveDecomposedObserved(sys.inst, m)
+	res, err := lll.SolveDecomposed(sys.inst, m)
 	if err != nil {
 		return nil, fmt.Errorf("coloring: decomposed group selection: %w", err)
 	}

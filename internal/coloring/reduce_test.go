@@ -171,10 +171,10 @@ func TestGreedifyProducesGreedyColoring(t *testing.T) {
 }
 
 func TestSolve3Coloring(t *testing.T) {
-	if _, ok := Solve3Coloring(graph.Complete(4)); ok {
+	if _, ok := SolveKColoring(graph.Complete(4), 3); ok {
 		t.Error("K4 3-colored")
 	}
-	colors, ok := Solve3Coloring(graph.Cycle(5))
+	colors, ok := SolveKColoring(graph.Cycle(5), 3)
 	if !ok {
 		t.Fatal("C5 not 3-colored")
 	}

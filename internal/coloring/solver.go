@@ -28,13 +28,6 @@ const searchBudget = 1 << 16
 // still be K-colorable.
 var ErrSearchBudget = errors.New("coloring: exact coloring search budget exhausted")
 
-// Solve3Coloring finds a proper 3-coloring, or reports that none exists —
-// the prover's ground truth. It uses DSATUR-ordered backtracking with
-// forward checking, which handles the experiment graphs in milliseconds.
-func Solve3Coloring(g *graph.Graph) ([]int, bool) {
-	return SolveKColoring(g, 3)
-}
-
 // SolveKColoring finds a proper K-coloring by exact search: always branch
 // on the node with the fewest remaining colors (most saturated), prune as
 // soon as any uncolored node runs out of options. ok is false when no

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"localadvice/internal/graph"
 	"localadvice/internal/local"
 )
 
@@ -55,13 +54,4 @@ func TuneSparsity(build KnobbedEncoder, eps float64, minKnob, maxKnob int) (Tune
 		return TuneResult{}, fmt.Errorf("core: no knob in [%d, %d] reached eps=%v (encoder failed: %w)", minKnob, maxKnob, eps, lastErr)
 	}
 	return TuneResult{}, fmt.Errorf("core: no knob in [%d, %d] reached eps=%v", minKnob, maxKnob, eps)
-}
-
-// HolderRatio is the companion measure for variable-length schemas: the
-// fraction of nodes that carry any bits (Definition 4's density).
-func HolderRatio(g *graph.Graph, va VarAdvice) float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return float64(len(va)) / float64(g.N())
 }

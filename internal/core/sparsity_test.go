@@ -75,14 +75,3 @@ func TestTuneSparsityErrors(t *testing.T) {
 		t.Error("encoder failure swallowed")
 	}
 }
-
-func TestHolderRatio(t *testing.T) {
-	g := graph.Cycle(10)
-	va := VarAdvice{0: bitstr.New(1), 5: bitstr.New(0, 1)}
-	if got := HolderRatio(g, va); got != 0.2 {
-		t.Errorf("HolderRatio = %v, want 0.2", got)
-	}
-	if HolderRatio(graph.New(0), VarAdvice{}) != 0 {
-		t.Error("empty graph ratio not 0")
-	}
-}

@@ -34,16 +34,3 @@ func DecodeVerified(s Schema, g *graph.Graph, advice local.Advice) (*lcl.Solutio
 	}
 	return sol, stats, nil
 }
-
-// DecodeVarVerified is DecodeVerified for variable-length schema stages.
-func DecodeVarVerified(s VarSchema, g *graph.Graph, va VarAdvice, oracles []*lcl.Solution) (*lcl.Solution, local.Stats, error) {
-	sol, stats, err := s.DecodeVar(g, va, oracles)
-	if err != nil {
-		return nil, stats, fmt.Errorf("core: %s decode: %w", s.Name(), err)
-	}
-	if err := lcl.Verify(s.Problem(), g, sol); err != nil {
-		return nil, stats, fmt.Errorf("core: %s output failed verification (%v): %w",
-			s.Name(), err, fault.ErrDetectedCorruption)
-	}
-	return sol, stats, nil
-}

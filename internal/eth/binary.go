@@ -9,11 +9,8 @@ import (
 )
 
 // Binary table codec: the payload format of the persistent artifact store's
-// KindTable records, alongside the line-oriented text format of Save/Load.
-// Where the text format must reject encoded outputs containing spaces or
-// newlines (they would corrupt the line structure), every field here is
-// length-prefixed, so the codec is immune to separator issues entirely —
-// any byte sequence is a valid key or output encoding.
+// KindTable records and of the table records in LAAR frames. Every field is
+// length-prefixed, so any byte sequence is a valid key or output encoding.
 //
 // Layout (all integers little-endian):
 //
@@ -156,7 +153,7 @@ func LoadTableBinary(r io.Reader, decode func([]byte) (any, error)) (*Table, err
 }
 
 // IntBinaryCodec is the binary output codec for int-valued tables
-// (little-endian int64), the binary sibling of IntCodec.
+// (little-endian int64).
 func IntBinaryCodec() (encode func(any) ([]byte, error), decode func([]byte) (any, error)) {
 	encode = func(v any) ([]byte, error) {
 		i, ok := v.(int)

@@ -108,9 +108,9 @@ func TestLoadTableBinaryRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsUnserializableOutputs pins the satellite fix: outputs
-// that would corrupt the text Save format are rejected at Compile time, not
-// discovered at write time — while the binary codec carries them fine.
+// TestCompileRejectsUnserializableOutputs pins that Compile rejects an
+// output whose text rendering holds a separator, while the binary codec
+// carries the same output fine.
 func TestCompileRejectsUnserializableOutputs(t *testing.T) {
 	g := graph.Cycle(4)
 	advice := make(local.Advice, g.N())
@@ -119,7 +119,7 @@ func TestCompileRejectsUnserializableOutputs(t *testing.T) {
 	}
 	badAlgo := func(view *local.View) any { return "two words" }
 	if _, err := Compile(badAlgo, 0, []*graph.Graph{g}, []local.Advice{advice}); err == nil {
-		t.Fatal("Compile accepted a string output with a space; Save would have failed later")
+		t.Fatal("Compile accepted a string output with a space")
 	} else if !strings.Contains(err.Error(), "separators") {
 		t.Fatalf("Compile error %q does not name the separator problem", err)
 	}

@@ -134,12 +134,10 @@ func TestCanonicalizeViewMatchesReference(t *testing.T) {
 
 // TestReferenceKeyedTableRuns is the store-compatibility property: a table
 // keyed by reference fingerprints, as every stored table is, must answer
-// every node of its graph after a round trip through the binary and the
-// text codec.
+// every node of its graph after a round trip through the binary codec.
 func TestReferenceKeyedTableRuns(t *testing.T) {
 	names, gs, advices := keyFamily(rand.New(rand.NewSource(107)))
 	binEnc, binDec := IntBinaryCodec()
-	textEnc, textDec := IntCodec()
 	for i, g := range gs {
 		for radius := 0; radius <= 3; radius++ {
 			table := &Table{Radius: radius, Entries: map[string]any{}}
@@ -149,30 +147,21 @@ func TestReferenceKeyedTableRuns(t *testing.T) {
 				want[v] = rankAlgo(view)
 				table.Entries[canonicalizeViewReference(view)] = want[v]
 			}
-			var bin, text bytes.Buffer
+			var bin bytes.Buffer
 			if err := table.SaveBinary(&bin, binEnc); err != nil {
 				t.Fatal(err)
 			}
-			if err := table.Save(&text, textEnc); err != nil {
-				t.Fatal(err)
-			}
-			fromBin, err := LoadTableBinary(&bin, binDec)
+			loaded, err := LoadTableBinary(&bin, binDec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromText, err := LoadTable(&text, textDec)
+			got, _, err := loaded.Run(g, advices[i])
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s radius %d: %v", names[i], radius, err)
 			}
-			for codec, loaded := range map[string]*Table{"binary": fromBin, "text": fromText} {
-				got, _, err := loaded.Run(g, advices[i])
-				if err != nil {
-					t.Fatalf("%s radius %d, %s codec: %v", names[i], radius, codec, err)
-				}
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("%s radius %d, %s codec: node %d answered %v, want %v", names[i], radius, codec, v, got[v], want[v])
-					}
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s radius %d: node %d answered %v, want %v", names[i], radius, v, got[v], want[v])
 				}
 			}
 		}

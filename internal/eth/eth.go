@@ -207,10 +207,10 @@ func Compile(algo local.BallAlgorithm, radius int, graphs []*graph.Graph, advice
 			if prev, ok := t.Entries[key]; ok && prev != out {
 				return nil, fmt.Errorf("eth: algorithm is not order-invariant: key %q maps to both %v and %v", key, prev, out)
 			}
-			// Outputs that can never survive the text Save format are
-			// rejected here, at compile time, instead of surprising the
-			// persistence layer at write time. (The binary codec is immune:
-			// every field there is length-prefixed.)
+			// Outputs whose text rendering holds a space or newline are
+			// rejected, as they were when tables also had a line-oriented
+			// text format. The binary codec, the only one left, would carry
+			// them: every field there is length-prefixed.
 			if err := checkTextSerializable(out); err != nil {
 				return nil, fmt.Errorf("eth: node %d of graph %d: %w", v, i, err)
 			}
@@ -227,10 +227,8 @@ type compiledNode struct {
 	out any
 }
 
-// checkTextSerializable rejects outputs whose natural text rendering would
-// corrupt the line-oriented Save format. Only string-shaped outputs can
-// smuggle separators; other types are validated against their caller codec
-// in Save itself.
+// checkTextSerializable rejects outputs whose natural text rendering holds
+// a space or newline. Only string-shaped outputs can hold one.
 func checkTextSerializable(out any) error {
 	s, ok := out.(string)
 	if !ok {

@@ -57,20 +57,6 @@ func (g *Graph) Ball(v, r int) []int {
 	return out
 }
 
-// Sphere returns the node indices at distance exactly r from v, in BFS
-// order.
-func (g *Graph) Sphere(v, r int) []int {
-	s := scratchPool.Get().(*BFSScratch)
-	defer scratchPool.Put(s)
-	var out []int
-	for _, u := range g.BFSWithin(v, r, s) {
-		if int(s.dist[u]) == r {
-			out = append(out, int(u))
-		}
-	}
-	return out
-}
-
 // Components returns, for each node, the index of its connected component,
 // along with the number of components. Component indices are assigned in
 // order of the smallest node index they contain.
@@ -125,14 +111,6 @@ func (g *Graph) Diameter() int {
 	return d
 }
 
-// Eccentricity returns max_u dist(v, u) within v's component.
-func (g *Graph) Eccentricity(v int) int {
-	s := scratchPool.Get().(*BFSScratch)
-	defer scratchPool.Put(s)
-	order := g.BFSWithin(v, -1, s)
-	return int(s.dist[order[len(order)-1]])
-}
-
 // InducedSubgraph returns the subgraph induced by the given node indices,
 // preserving node IDs, together with the mapping from new indices to
 // original indices.
@@ -157,23 +135,6 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 		}
 	}
 	return NewFromEdges(ids, edges), orig
-}
-
-// Power returns the k-th power graph G^k: same nodes, an edge between any
-// pair at distance 1..k in g.
-func (g *Graph) Power(k int) *Graph {
-	p := New(g.n)
-	if err := p.SetIDs(g.ids); err != nil {
-		panic(err)
-	}
-	for v := 0; v < g.n; v++ {
-		for _, w := range g.Ball(v, k) {
-			if w > v {
-				p.MustAddEdge(v, w)
-			}
-		}
-	}
-	return p
 }
 
 // Bipartition returns a 2-coloring (values 0/1) of the nodes if the graph is
@@ -230,16 +191,4 @@ func (g *Graph) GrowthProfile(maxR int) []int {
 		}
 	}
 	return out
-}
-
-// TriangleFree reports whether the graph has no triangle.
-func (g *Graph) TriangleFree() bool {
-	for _, e := range g.edges {
-		for _, w := range g.adj[e.U] {
-			if w != e.V && g.HasEdge(w, e.V) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -14,6 +15,33 @@ func TestDigestMatchesEqual(t *testing.T) {
 	}
 	if !Equal(a, b) {
 		t.Fatalf("identical cycles not Equal")
+	}
+
+	// Equal digests imply Equal, not the converse: the digest hashes the
+	// edge list in insertion order, so the same edges listed in another
+	// order give another digest, while reversed endpoints do not.
+	parse := func(text string) *Graph {
+		g, err := ReadEdgeList(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	fwd := parse("n 3\ne 0 1\ne 1 2\n")
+	for _, c := range []struct {
+		name, text string
+		sameDigest bool
+	}{
+		{"edges in another order", "n 3\ne 1 2\ne 0 1\n", false},
+		{"reversed endpoints", "n 3\ne 1 0\ne 2 1\n", true},
+	} {
+		g := parse(c.text)
+		if !Equal(fwd, g) {
+			t.Errorf("%s: not Equal to the path 0-1-2", c.name)
+		}
+		if same := g.Digest() == fwd.Digest(); same != c.sameDigest {
+			t.Errorf("%s: equal digests = %v, want %v", c.name, same, c.sameDigest)
+		}
 	}
 }
 

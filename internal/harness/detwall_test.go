@@ -116,47 +116,6 @@ func TestDetSeedIndependenceWall(t *testing.T) {
 	}
 }
 
-// TestDetRunConfigSwitch pins the RunConfig plumbing: cfg.DetLLL routes
-// Encode onto the seed-free path (identical advice for different seeds),
-// while the default path stays seeded (the seed reaches the sampler).
-func TestDetRunConfigSwitch(t *testing.T) {
-	for _, ds := range DetSchemas() {
-		ds := ds
-		t.Run(ds.Name, func(t *testing.T) {
-			g := detWallGraph(ds.Name)
-			detA, err := ds.Encode(g, 3, local.RunConfig{DetLLL: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			detB, err := ds.Encode(g, 4, local.RunConfig{DetLLL: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if adviceFingerprint(detA) != adviceFingerprint(detB) {
-				t.Fatal("DetLLL advice depends on the seed")
-			}
-			ref, err := ds.EncodeWith(MethodDet, g, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if adviceFingerprint(detA) != adviceFingerprint(ref) {
-				t.Fatal("DetLLL advice differs from the MethodDet reference")
-			}
-			seeded, err := ds.Encode(g, 3, local.RunConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sol, _, err := ds.DecodeOn("ball", g, seeded, local.RunConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := lcl.Verify(ds.Problem(g), g, sol); err != nil {
-				t.Fatalf("seeded path invalid: %v", err)
-			}
-		})
-	}
-}
-
 // TestDetSchemaByName pins the lookup used by the serving-layer registry
 // and perfbench.
 func TestDetSchemaByName(t *testing.T) {

@@ -63,16 +63,6 @@ type DetSchema struct {
 	DecodeOn func(engine string, g *graph.Graph, advice local.Advice, cfg local.RunConfig) (*lcl.Solution, local.Stats, error)
 }
 
-// Encode is the RunConfig-facing entry point: cfg.DetLLL switches the
-// schema onto the deterministic path (conditional expectations, seed
-// ignored); otherwise the advice comes from Moser–Tardos seeded with seed.
-func (ds DetSchema) Encode(g *graph.Graph, seed int64, cfg local.RunConfig) (local.Advice, error) {
-	if cfg.DetLLL {
-		return ds.EncodeWith(MethodDet, g, 0, nil)
-	}
-	return ds.EncodeWith(MethodMT, g, seed, nil)
-}
-
 // DetSchemaByName returns the deterministic-pipeline adapter for "orient"
 // or "color3".
 func DetSchemaByName(name string) (DetSchema, bool) {
@@ -97,11 +87,11 @@ func DetSchemas() []DetSchema {
 				var err error
 				switch method {
 				case MethodMT:
-					va, err = orientSchema.EncodeVarLLLObserved(g, rand.New(rand.NewSource(seed)), detMTCap, m)
+					va, err = orientSchema.EncodeVarLLL(g, rand.New(rand.NewSource(seed)), detMTCap, m)
 				case MethodDet:
-					va, err = orientSchema.EncodeVarDetObserved(g, m)
+					va, err = orientSchema.EncodeVarDet(g, m)
 				case MethodDecomposed:
-					va, err = orientSchema.EncodeVarDecomposedObserved(g, m)
+					va, err = orientSchema.EncodeVarDecomposed(g, m)
 				default:
 					err = fmt.Errorf("unknown det method %q", method)
 				}
@@ -120,11 +110,11 @@ func DetSchemas() []DetSchema {
 			EncodeWith: func(method DetMethod, g *graph.Graph, seed int64, m *obs.Collector) (local.Advice, error) {
 				switch method {
 				case MethodMT:
-					return threeSchema.EncodeLLLObserved(g, rand.New(rand.NewSource(seed)), detMTCap, m)
+					return threeSchema.EncodeLLL(g, rand.New(rand.NewSource(seed)), detMTCap, m)
 				case MethodDet:
-					return threeSchema.EncodeDetObserved(g, m)
+					return threeSchema.EncodeDet(g, m)
 				case MethodDecomposed:
-					return threeSchema.EncodeDecomposedObserved(g, m)
+					return threeSchema.EncodeDecomposed(g, m)
 				default:
 					return nil, fmt.Errorf("unknown det method %q", method)
 				}

@@ -251,11 +251,11 @@ func TestSolveCompletesColoring(t *testing.T) {
 
 func TestSolveDetectsUnsatisfiable(t *testing.T) {
 	// An odd cycle is not 2-colorable.
-	if Solvable(Coloring{K: 2}, graph.Cycle(5), NewSolution(graph.Cycle(5))) {
+	if _, ok := Solve(Coloring{K: 2}, graph.Cycle(5), NewSolution(graph.Cycle(5))); ok {
 		t.Error("odd cycle reported 2-colorable")
 	}
 	// K4 is not 3-colorable.
-	if Solvable(Coloring{K: 3}, graph.Complete(4), NewSolution(graph.Complete(4))) {
+	if _, ok := Solve(Coloring{K: 3}, graph.Complete(4), NewSolution(graph.Complete(4))); ok {
 		t.Error("K4 reported 3-colorable")
 	}
 }

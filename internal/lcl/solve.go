@@ -244,12 +244,6 @@ func sortedIDs(g *graph.Graph, e graph.Edge) (lo, hi int64) {
 	return lo, hi
 }
 
-// Solvable reports whether p has any solution on g extending partial.
-func Solvable(p Problem, g *graph.Graph, partial *Solution) bool {
-	_, ok := Solve(p, g, partial)
-	return ok
-}
-
 // GreedyColoring returns a proper coloring of g with at most Δ+1 colors
 // (labels 1..Δ+1), assigning nodes in increasing ID order the smallest color
 // not used by an already-colored neighbor. This is the "greedy coloring"

@@ -334,19 +334,12 @@ func (st *estimator) repairMove(event int, violated []bool, remaining *int) (boo
 // decreasing repair pass. It takes no RNG: the output is a pure function of
 // the instance. On success every event satisfies Bad(j, ·) == false.
 //
-// SolveDeterministic reports into the process-wide collector when one is
-// installed; SolveDeterministicObserved takes an explicit collector.
-func SolveDeterministic(in *Instance) (Result, error) {
-	return SolveDeterministicObserved(in, obs.Default())
-}
-
-// SolveDeterministicObserved is SolveDeterministic reporting into the given
-// collector: "lll.events" (instance size), "lll.evaluations" (Bad-predicate
-// calls — the deterministic path's work measure, comparable to the
-// randomized path's evaluations) and "lll.repairs" (cleanup moves after the
-// conditional-expectations walk; 0 whenever the walk alone already avoided
-// every event).
-func SolveDeterministicObserved(in *Instance, m *obs.Collector) (Result, error) {
+// It reports into m (nil records nothing): "lll.events" (instance size),
+// "lll.evaluations" (Bad-predicate calls — the deterministic path's work
+// measure, comparable to the randomized path's evaluations) and
+// "lll.repairs" (cleanup moves after the conditional-expectations walk; 0
+// whenever the walk alone already avoided every event).
+func SolveDeterministic(in *Instance, m *obs.Collector) (Result, error) {
 	c, err := in.compile()
 	if err != nil {
 		return Result{}, err
@@ -380,15 +373,11 @@ func SolveDeterministicObserved(in *Instance, m *obs.Collector) (Result, error) 
 // SolveDeterministic. Like SolveDeterministic it takes no RNG; the two
 // paths may fix variables in different orders and so may return different
 // (but individually deterministic and always Bad-free) assignments.
-func SolveDecomposed(in *Instance) (Result, error) {
-	return SolveDecomposedObserved(in, obs.Default())
-}
-
-// SolveDecomposedObserved is SolveDecomposed reporting into the given
-// collector; beyond the SolveDeterministicObserved metrics it emits
-// "lll.balls" (event-graph decomposition balls) and "lll.cut_vars"
-// (variables deferred to the second pass).
-func SolveDecomposedObserved(in *Instance, m *obs.Collector) (Result, error) {
+//
+// Beyond SolveDeterministic's metrics it reports "lll.balls" (event-graph
+// decomposition balls) and "lll.cut_vars" (variables deferred to the
+// second pass) into m.
+func SolveDecomposed(in *Instance, m *obs.Collector) (Result, error) {
 	c, err := in.compile()
 	if err != nil {
 		return Result{}, err

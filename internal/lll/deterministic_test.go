@@ -30,7 +30,7 @@ func TestDeterministicBadFreeOnKSAT(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		in, _, _ := kSATInstance(40, 30, 7, rng)
-		res, err := SolveDeterministic(in)
+		res, err := SolveDeterministic(in, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -41,7 +41,7 @@ func TestDeterministicBadFreeOnKSAT(t *testing.T) {
 
 		// The Moser–Tardos reference solves the same instance; both outputs
 		// are valid, only the deterministic one is seed-free.
-		mt, err := Solve(in, rand.New(rand.NewSource(int64(trial))), 1<<20)
+		mt, err := Solve(in, rand.New(rand.NewSource(int64(trial))), 1<<20, nil)
 		if err != nil {
 			t.Fatalf("trial %d: MT reference: %v", trial, err)
 		}
@@ -54,12 +54,12 @@ func TestDeterministicBadFreeOnKSAT(t *testing.T) {
 func TestDeterministicIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in, _, _ := kSATInstance(30, 24, 6, rng)
-	first, err := SolveDeterministic(in)
+	first, err := SolveDeterministic(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := SolveDeterministic(in)
+		again, err := SolveDeterministic(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,13 +82,13 @@ func TestDecomposedBadFreeAndDeterministic(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(300 + trial)))
 		in, _, _ := kSATInstance(36, 28, 7, rng)
-		res, err := SolveDecomposed(in)
+		res, err := SolveDecomposed(in, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		assertBadFree(t, in, res.Assignment)
 		c := &obs.Collector{}
-		again, err := SolveDecomposedObserved(in, c)
+		again, err := SolveDecomposed(in, c)
 		if err != nil {
 			t.Fatalf("trial %d observed: %v", trial, err)
 		}
@@ -118,8 +118,8 @@ func TestDeterministicEventFreeVars(t *testing.T) {
 		Vars:       func(int) []int { return nil },
 		Bad:        func(int, []int) bool { return false },
 	}
-	for _, solve := range []func(*Instance) (Result, error){SolveDeterministic, SolveDecomposed} {
-		res, err := solve(in)
+	for _, solve := range []func(*Instance, *obs.Collector) (Result, error){SolveDeterministic, SolveDecomposed} {
+		res, err := solve(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestDeterministicRepairRuns(t *testing.T) {
 			return a[v[0]] == a[v[1]] && a[v[1]] == a[v[2]]
 		},
 	}
-	res, err := SolveDeterministic(in)
+	res, err := SolveDeterministic(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +179,8 @@ func TestRepairStallTyped(t *testing.T) {
 			return a[0] != 1
 		},
 	}
-	for _, solve := range []func(*Instance) (Result, error){SolveDeterministic, SolveDecomposed} {
-		_, err := solve(in)
+	for _, solve := range []func(*Instance, *obs.Collector) (Result, error){SolveDeterministic, SolveDecomposed} {
+		_, err := solve(in, nil)
 		if !errors.Is(err, ErrRepairStall) {
 			t.Fatalf("err = %v, want ErrRepairStall", err)
 		}
@@ -202,7 +202,7 @@ func TestEstimatorBudgetTyped(t *testing.T) {
 		Vars:       func(int) []int { return vars },
 		Bad:        func(int, []int) bool { return false },
 	}
-	_, err := SolveDeterministic(in)
+	_, err := SolveDeterministic(in, nil)
 	if !errors.Is(err, ErrEstimatorBudget) {
 		t.Fatalf("err = %v, want ErrEstimatorBudget", err)
 	}
@@ -231,7 +231,7 @@ func TestResamplingCapTyped(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := Solve(tt.in, rand.New(rand.NewSource(9)), tt.cap)
+			_, err := Solve(tt.in, rand.New(rand.NewSource(9)), tt.cap, nil)
 			if err == nil {
 				t.Fatal("always-bad instance solved")
 			}
@@ -274,21 +274,21 @@ func contains(s, sub string) bool {
 // Instance validation as Solve.
 func TestDeterministicValidatesInstance(t *testing.T) {
 	bad := &Instance{NumVars: 1}
-	if _, err := SolveDeterministic(bad); err == nil {
+	if _, err := SolveDeterministic(bad, nil); err == nil {
 		t.Error("nil-callback instance accepted by SolveDeterministic")
 	}
-	if _, err := SolveDecomposed(bad); err == nil {
+	if _, err := SolveDecomposed(bad, nil); err == nil {
 		t.Error("nil-callback instance accepted by SolveDecomposed")
 	}
 }
 
-// TestDeterministicObservedMetrics pins the observed variants' event kinds
-// and that evaluation counts match the Result.
+// TestDeterministicObservedMetrics pins the event kinds SolveDeterministic
+// reports into a collector and that evaluation counts match the Result.
 func TestDeterministicObservedMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	in, _, _ := kSATInstance(24, 18, 6, rng)
 	c := &obs.Collector{}
-	res, err := SolveDeterministicObserved(in, c)
+	res, err := SolveDeterministic(in, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"localadvice/internal/obs"
 )
 
 // fuzzInstance decodes an arbitrary byte string into a small CNF-style
@@ -78,9 +80,9 @@ func FuzzSolveDeterministic(f *testing.F) {
 		in := fuzzInstance(data)
 		for _, solve := range []struct {
 			name string
-			fn   func(*Instance) (Result, error)
+			fn   func(*Instance, *obs.Collector) (Result, error)
 		}{{"det", SolveDeterministic}, {"decomposed", SolveDecomposed}} {
-			res, err := solve.fn(in)
+			res, err := solve.fn(in, nil)
 			if err != nil {
 				if !errors.Is(err, ErrEstimatorBudget) && !errors.Is(err, ErrRepairStall) {
 					t.Fatalf("%s: untyped error: %v", solve.name, err)
@@ -104,7 +106,7 @@ func FuzzSolveDeterministic(f *testing.F) {
 				t.Fatalf("%s: deterministic path reported %d resamplings", solve.name, res.Resamplings)
 			}
 			// Determinism: a second run must reproduce the assignment.
-			again, err := solve.fn(in)
+			again, err := solve.fn(in, nil)
 			if err != nil {
 				t.Fatalf("%s: rerun failed: %v", solve.name, err)
 			}

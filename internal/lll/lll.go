@@ -193,19 +193,13 @@ func (h *minHeap) pop() int32 {
 // LLL condition this indicates the cap was far too small or the instance
 // violates the condition).
 //
-// Solve reports into the process-wide metrics collector when one is
-// installed (obs.SetDefault); SolveObserved takes an explicit collector.
-func Solve(in *Instance, rng *rand.Rand, maxResamplings int) (Result, error) {
-	return SolveObserved(in, rng, maxResamplings, obs.Default())
-}
-
-// SolveObserved is Solve reporting into the given collector: on success it
-// emits "lll.resamplings" (the resampling count — the paper's expected-
-// linear work bound, measured), "lll.evaluations" (Bad-predicate calls,
-// the work unit shared with the deterministic solvers), "lll.initial_violated"
-// (bad events after the initial uniform sample) and "lll.events" (instance
-// size). A nil collector records nothing and costs nothing.
-func SolveObserved(in *Instance, rng *rand.Rand, maxResamplings int, m *obs.Collector) (Result, error) {
+// On success Solve reports into m: "lll.resamplings" (the resampling count
+// — the paper's expected-linear work bound, measured), "lll.evaluations"
+// (Bad-predicate calls, the work unit shared with the deterministic
+// solvers), "lll.initial_violated" (bad events after the initial uniform
+// sample) and "lll.events" (instance size). A nil collector records
+// nothing and costs nothing.
+func Solve(in *Instance, rng *rand.Rand, maxResamplings int, m *obs.Collector) (Result, error) {
 	c, err := in.compile()
 	if err != nil {
 		return Result{}, err

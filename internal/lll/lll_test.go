@@ -47,7 +47,7 @@ func TestSolveKSAT(t *testing.T) {
 	// 7-SAT with each variable in few clauses satisfies the LLL condition
 	// (p = 2^-7, d small); Moser-Tardos must find a satisfying assignment.
 	in, _, _ := kSATInstance(60, 40, 7, rng)
-	res, err := Solve(in, rng, 100000)
+	res, err := Solve(in, rng, 100000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSolveTrivial(t *testing.T) {
 		Vars:       func(int) []int { return nil },
 		Bad:        func(int, []int) bool { return false },
 	}
-	res, err := Solve(in, rand.New(rand.NewSource(2)), 10)
+	res, err := Solve(in, rand.New(rand.NewSource(2)), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSolveUnsatisfiableHitsCap(t *testing.T) {
 		Vars:       func(int) []int { return []int{0} },
 		Bad:        func(int, []int) bool { return true },
 	}
-	if _, err := Solve(in, rand.New(rand.NewSource(3)), 50); err == nil {
+	if _, err := Solve(in, rand.New(rand.NewSource(3)), 50, nil); err == nil {
 		t.Error("unsatisfiable instance solved")
 	}
 }
@@ -115,7 +115,7 @@ func TestValidateErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Solve(tt.in, rng, 10); err == nil {
+			if _, err := Solve(tt.in, rng, 10, nil); err == nil {
 				t.Error("invalid instance accepted")
 			}
 		})
@@ -156,7 +156,7 @@ func TestSolveRespectsDomains(t *testing.T) {
 		// Bad unless all distinct-ish: forces some resampling.
 		Bad: func(_ int, a []int) bool { return a[0] == 1 && a[1] == 1 },
 	}
-	res, err := Solve(in, rng, 1000)
+	res, err := Solve(in, rng, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +207,12 @@ func TestSolveDeterministic(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		base := rand.New(rand.NewSource(seed))
 		in, _, _ := kSATInstance(50, 120, 5, base)
-		first, err := Solve(in, rand.New(rand.NewSource(seed*3)), 1<<20)
+		first, err := Solve(in, rand.New(rand.NewSource(seed*3)), 1<<20, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for rep := 0; rep < 3; rep++ {
-			again, err := Solve(in, rand.New(rand.NewSource(seed*3)), 1<<20)
+			again, err := Solve(in, rand.New(rand.NewSource(seed*3)), 1<<20, nil)
 			if err != nil {
 				t.Fatalf("seed %d rep %d: %v", seed, rep, err)
 			}
@@ -235,7 +235,7 @@ func TestSolveMatchesNaiveReference(t *testing.T) {
 		base := rand.New(rand.NewSource(seed))
 		// Dense enough that events overlap and real resampling happens.
 		in, _, _ := kSATInstance(40, 90, 4, base)
-		fast, fastErr := Solve(in, rand.New(rand.NewSource(seed)), 4000)
+		fast, fastErr := Solve(in, rand.New(rand.NewSource(seed)), 4000, nil)
 		naive, naiveErr := solveNaive(in, rand.New(rand.NewSource(seed)), 4000)
 		if (fastErr == nil) != (naiveErr == nil) {
 			t.Fatalf("seed %d: fast err %v, naive err %v", seed, fastErr, naiveErr)
@@ -311,7 +311,7 @@ func TestSolveDuplicateVars(t *testing.T) {
 			return a[1] == 0
 		},
 	}
-	fast, err := Solve(in, rand.New(rand.NewSource(8)), 1000)
+	fast, err := Solve(in, rand.New(rand.NewSource(8)), 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 )
 
 // RunConfig configures an engine run: the worker count shared by every
-// engine, an optional fault-injection plan, an optional metrics collector,
-// the frugal engine's skeleton radius and the schema-level DetLLL switch.
+// engine, an optional fault-injection plan, an optional metrics collector
+// and the frugal engine's skeleton radius.
 // The zero value is a fault-free, unobserved run at the default fan-out.
 type RunConfig struct {
 	// Workers is the number of goroutines the engine fans out over; see
@@ -47,19 +47,11 @@ type RunConfig struct {
 	// fewer skeleton edges but a larger 2ρ+1 round overhead.
 	FrugalRadius int
 
-	// DetLLL selects the deterministic LLL pipeline for schemas whose
-	// advice placement is an LLL instance (orient shift placement, the
-	// ruling-group selection of the 3-coloring schema): encoders resolve
-	// the instance by conditional expectations instead of Moser–Tardos
-	// resampling, so the advice — and therefore every engine output — is a
-	// pure function of the graph, bit-identical across engines, worker
-	// counts, AND rng seeds. The engines themselves never read it (advice
-	// is fixed before a run starts); it rides on RunConfig because RunConfig
-	// is the one configuration value threaded from the CLI/server/harness
-	// down to every schema execution, and the schema adapters
-	// (harness.DetSchemas, the server's det-mode schema entries) consult it
-	// when choosing the encoder. Derived cache keys for det-mode artifacts
-	// drop the seed component (DESIGN.md decision 12).
+	// DetLLL is read by no code: the engines fix advice before a run
+	// starts, and the deterministic LLL path is chosen by schema name
+	// (the server's orientdet/color3det entries) or by
+	// harness.MethodDet, never by this field. It stays only because
+	// perfbench still sets it, and goes once that caller drops it.
 	DetLLL bool
 }
 

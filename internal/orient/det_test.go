@@ -26,11 +26,11 @@ func TestEncodeVarDetValidAndSeedFree(t *testing.T) {
 	for name, g := range families {
 		t.Run(name, func(t *testing.T) {
 			graph.AssignPermutedIDs(g, rand.New(rand.NewSource(12)))
-			det, err := s.EncodeVarDet(g)
+			det, err := s.EncodeVarDet(g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := s.EncodeVarDet(g)
+			again, err := s.EncodeVarDet(g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +38,7 @@ func TestEncodeVarDetValidAndSeedFree(t *testing.T) {
 			if fmt.Sprint(again.Dense(g.N())) != fp {
 				t.Fatal("EncodeVarDet is not deterministic")
 			}
-			dec, err := s.EncodeVarDecomposed(g)
+			dec, err := s.EncodeVarDecomposed(g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestEncodeVarDetValidAndSeedFree(t *testing.T) {
 			if err := lcl.Verify(lcl.BalancedOrientation{}, g, sol); err != nil {
 				t.Fatal(err)
 			}
-			mt, err := s.EncodeVarLLL(g, rand.New(rand.NewSource(9)), 1<<20)
+			mt, err := s.EncodeVarLLL(g, rand.New(rand.NewSource(9)), 1<<20, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -216,14 +216,10 @@ func (sys *shiftSystem) materialize(assignment []int) (core.VarAdvice, error) {
 // EncodeVarLLL computes the same advice layout as Schema.EncodeVar but
 // places the marked pairs with Moser–Tardos shifting instead of greedy
 // first-fit. rng drives the resampling; maxResamplings caps the work (a
-// blown cap surfaces as an error wrapping lll.ErrResamplingCap).
-func (s Schema) EncodeVarLLL(g *graph.Graph, rng *rand.Rand, maxResamplings int) (core.VarAdvice, error) {
-	return s.EncodeVarLLLObserved(g, rng, maxResamplings, obs.Default())
-}
-
-// EncodeVarLLLObserved is EncodeVarLLL reporting solver metrics
-// (lll.resamplings, lll.evaluations, …) into an explicit collector.
-func (s Schema) EncodeVarLLLObserved(g *graph.Graph, rng *rand.Rand, maxResamplings int, m *obs.Collector) (core.VarAdvice, error) {
+// blown cap surfaces as an error wrapping lll.ErrResamplingCap). Solver
+// metrics (lll.resamplings, lll.evaluations, …) go to m; nil records
+// nothing.
+func (s Schema) EncodeVarLLL(g *graph.Graph, rng *rand.Rand, maxResamplings int, m *obs.Collector) (core.VarAdvice, error) {
 	sys, err := s.buildShiftSystem(g)
 	if err != nil {
 		return nil, err
@@ -231,7 +227,7 @@ func (s Schema) EncodeVarLLLObserved(g *graph.Graph, rng *rand.Rand, maxResampli
 	if sys == nil {
 		return core.VarAdvice{}, nil
 	}
-	res, err := lll.SolveObserved(sys.inst, rng, maxResamplings, m)
+	res, err := lll.Solve(sys.inst, rng, maxResamplings, m)
 	if err != nil {
 		return nil, fmt.Errorf("orient: LLL placement: %w", err)
 	}
@@ -241,12 +237,8 @@ func (s Schema) EncodeVarLLLObserved(g *graph.Graph, rng *rand.Rand, maxResampli
 // EncodeVarDet is the derandomized EncodeVarLLL: the shifts are fixed by
 // the method of conditional expectations (lll.SolveDeterministic), so the
 // advice is a pure function of the graph — no RNG, identical across seeds.
-func (s Schema) EncodeVarDet(g *graph.Graph) (core.VarAdvice, error) {
-	return s.EncodeVarDetObserved(g, obs.Default())
-}
-
-// EncodeVarDetObserved is EncodeVarDet with an explicit metrics collector.
-func (s Schema) EncodeVarDetObserved(g *graph.Graph, m *obs.Collector) (core.VarAdvice, error) {
+// Solver metrics go to m; nil records nothing.
+func (s Schema) EncodeVarDet(g *graph.Graph, m *obs.Collector) (core.VarAdvice, error) {
 	sys, err := s.buildShiftSystem(g)
 	if err != nil {
 		return nil, err
@@ -254,7 +246,7 @@ func (s Schema) EncodeVarDetObserved(g *graph.Graph, m *obs.Collector) (core.Var
 	if sys == nil {
 		return core.VarAdvice{}, nil
 	}
-	res, err := lll.SolveDeterministicObserved(sys.inst, m)
+	res, err := lll.SolveDeterministic(sys.inst, m)
 	if err != nil {
 		return nil, fmt.Errorf("orient: deterministic LLL placement: %w", err)
 	}
@@ -263,14 +255,9 @@ func (s Schema) EncodeVarDetObserved(g *graph.Graph, m *obs.Collector) (core.Var
 
 // EncodeVarDecomposed is EncodeVarDet running ball-by-ball over the shift
 // system's event dependency graph (lll.SolveDecomposed) — the
-// network-decomposition-guided derandomization. Also RNG-free.
-func (s Schema) EncodeVarDecomposed(g *graph.Graph) (core.VarAdvice, error) {
-	return s.EncodeVarDecomposedObserved(g, obs.Default())
-}
-
-// EncodeVarDecomposedObserved is EncodeVarDecomposed with an explicit
-// metrics collector.
-func (s Schema) EncodeVarDecomposedObserved(g *graph.Graph, m *obs.Collector) (core.VarAdvice, error) {
+// network-decomposition-guided derandomization. Also RNG-free. Solver
+// metrics go to m; nil records nothing.
+func (s Schema) EncodeVarDecomposed(g *graph.Graph, m *obs.Collector) (core.VarAdvice, error) {
 	sys, err := s.buildShiftSystem(g)
 	if err != nil {
 		return nil, err
@@ -278,7 +265,7 @@ func (s Schema) EncodeVarDecomposedObserved(g *graph.Graph, m *obs.Collector) (c
 	if sys == nil {
 		return core.VarAdvice{}, nil
 	}
-	res, err := lll.SolveDecomposedObserved(sys.inst, m)
+	res, err := lll.SolveDecomposed(sys.inst, m)
 	if err != nil {
 		return nil, fmt.Errorf("orient: decomposed LLL placement: %w", err)
 	}
@@ -288,7 +275,7 @@ func (s Schema) EncodeVarDecomposedObserved(g *graph.Graph, m *obs.Collector) (c
 // EncodeDecodeLLL is a convenience wrapper: LLL placement, then the standard
 // decoder, then verification — used by the E3 ablation and tests.
 func (s Schema) EncodeDecodeLLL(g *graph.Graph, rng *rand.Rand) (*lcl.Solution, core.VarAdvice, error) {
-	va, err := s.EncodeVarLLL(g, rng, 1<<20)
+	va, err := s.EncodeVarLLL(g, rng, 1<<20, obs.Default())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -47,7 +47,7 @@ func TestEncodeVarLLLFailsWhenOversubscribed(t *testing.T) {
 	// unsatisfiable and the placement must report it rather than loop.
 	rng := rand.New(rand.NewSource(63))
 	s := Schema{P: DefaultParams()}
-	if _, err := s.EncodeVarLLL(graph.CyclePowers(30, 3), rng, 20000); err == nil {
+	if _, err := s.EncodeVarLLL(graph.CyclePowers(30, 3), rng, 20000, nil); err == nil {
 		t.Skip("placement happened to succeed; nothing to assert")
 	}
 }
@@ -55,7 +55,7 @@ func TestEncodeVarLLLFailsWhenOversubscribed(t *testing.T) {
 func TestEncodeVarLLLNoLongTrails(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	s := Schema{P: DefaultParams()}
-	va, err := s.EncodeVarLLL(graph.Cycle(10), rng, 1000)
+	va, err := s.EncodeVarLLL(graph.Cycle(10), rng, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

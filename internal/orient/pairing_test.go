@@ -108,7 +108,7 @@ func TestDecodeVarBallAllocsPerNode(t *testing.T) {
 	}
 	s := Schema{P: DefaultParams()}
 	g := graph.Cycle(1024)
-	va, err := s.EncodeVarLLL(g, rand.New(rand.NewSource(1)), 1<<20)
+	va, err := s.EncodeVarLLL(g, rand.New(rand.NewSource(1)), 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,9 +159,6 @@ func Open(dir string, metrics *obs.StoreMetrics) (*Store, error) {
 	return &Store{dir: dir, metrics: metrics}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // recExt is the record filename suffix; foreign files are ignored.
 const recExt = ".rec"
 
@@ -216,15 +213,6 @@ func (s *Store) Get(key string) (payload []byte, kind Kind, ok bool, err error) 
 	}
 	s.metrics.ObserveLoad(time.Since(start), int64(len(payload)), true)
 	return payload, kind, true, nil
-}
-
-// Delete removes the record for key (a no-op when absent).
-func (s *Store) Delete(key string) error {
-	err := os.Remove(s.path(key))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return nil
 }
 
 // RecordInfo describes one on-disk record for tooling (locad store ls /

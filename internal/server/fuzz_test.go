@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
+
+	"localadvice/internal/bitstr"
+	"localadvice/internal/local"
+	"localadvice/internal/persist"
 )
 
 // FuzzHandleDecode throws arbitrary bytes at POST /v1/decode in two forms —
@@ -61,5 +65,122 @@ func FuzzHandleDecode(f *testing.F) {
 		}
 		req := fmt.Sprintf(`{"schema":"mis","graph":{"family":"cycle","n":6},"advice":%s}`, advJSON)
 		check("advice", doReq(t, s, "POST", "/v1/decode", req))
+	})
+}
+
+// fuzzServerConfig bounds what one fuzzed frame can ask of a server: small
+// graphs, a small body, and the probe set's deadline.
+var fuzzServerConfig = Config{MaxNodes: 64, MaxBodyBytes: 1 << 16, CacheBytes: 1 << 20, RequestTimeout: probeTimeout}
+
+// FuzzImportFrame throws arbitrary LAAR frames at POST
+// /v1/artifacts/import, which needs no authentication, on a fresh server.
+// Whatever the import answers, the probe set must then answer below 500,
+// never time out, leak nothing, and leave no request in flight: an
+// accepted record can change an answer but never wedge or break a key.
+// The seeds are TestArtifactImportRejectsCorruptFrame's frames, good
+// exports, and the wrong-length advice record.
+func FuzzImportFrame(f *testing.F) {
+	s := newTestServer(f, fuzzServerConfig)
+	cg, _, err := s.resolveGraph(GraphSpec{Family: "cycle", N: 12}, false, "seed")
+	if err != nil {
+		f.Fatal(err)
+	}
+	mis, lll := s.schemas["mis"], s.schemas["orientlll"]
+	var exports [][]byte
+	for _, schema := range []string{"mis", "orient", "color3"} {
+		w := doReq(f, s, "POST", "/v1/artifacts/export", `{"schema":"`+schema+`","graph":{"family":"cycle","n":12}}`)
+		if w.Code != 200 {
+			f.Fatalf("export %s: %d: %s", schema, w.Code, w.Body)
+		}
+		exports = append(exports, w.Body.Bytes())
+	}
+	misExport := exports[0]
+	adv, _, err := s.encodeAdvice(mis, cg, true, "seed")
+	if err != nil {
+		f.Fatal(err)
+	}
+	advPayload := persist.EncodeAdvice(adv.advice)
+	misFrame := func(records ...artifactRecord) []byte { return encodeArtifactFrame(mis.Name, cg.digest, records) }
+	lllBase := "advice:" + cg.digest + ":" + lll.Name + "@" + lll.Params
+	for _, frame := range exports {
+		f.Add(frame)
+	}
+	f.Add(misExport[:len(misExport)-5])
+	f.Add(append([]byte("XXXX"), misExport[4:]...))
+	f.Add([]byte("not a frame at all"))
+	f.Add(misFrame(artifactRecord{artifactAdvice, "graph:cycle:12:0", advPayload}))
+	f.Add(misFrame(artifactRecord{artifactAdvice, adviceKey(s.schemas["color3"], cg), advPayload}))
+	f.Add(misFrame(artifactRecord{artifactAdvice, tableKey(mis, cg, adv.digest), advPayload}))
+	f.Add(misFrame(artifactRecord{artifactAdvice, adviceKey(mis, cg), advPayload}, artifactRecord{artifactAdvice, "graph:cycle:12:0", advPayload}))
+	f.Add(encodeArtifactFrame(lll.Name, cg.digest, []artifactRecord{{artifactAdvice, lllBase + ":seed=-7", advPayload}}))
+	f.Add(wrongLengthAdviceFrame(f, s))
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		s := newTestServer(t, fuzzServerConfig)
+		w := doBin(t, s, "/v1/artifacts/import", frame)
+		if w.Code >= 500 {
+			t.Errorf("import: status %d: %s", w.Code, w.Body)
+		}
+		assertNoLeak(t, w.Body.String())
+		assertServerHealthy(t, s)
+	})
+}
+
+// FuzzBatchFrame throws arbitrary LADB frames at POST /v1/batch, which
+// needs no authentication, on a fresh server, with the same invariant as
+// FuzzImportFrame: the batch answers below 500 and the probe set stays
+// healthy after it. The seeds are EncodeBatchRequest and
+// EncodeBatchRequestExt frames with the cache on and off, server and
+// inline advice, and an inline graph.
+func FuzzBatchFrame(f *testing.F) {
+	s := newTestServer(f, fuzzServerConfig)
+	cg, _, err := s.resolveGraph(GraphSpec{Family: "cycle", N: 12}, false, "seed")
+	if err != nil {
+		f.Fatal(err)
+	}
+	cycle12 := GraphSpec{Family: "cycle", N: 12}
+	inline := func(schema string) local.Advice {
+		adv, _, err := s.encodeAdvice(s.schemas[schema], cg, false, "seed")
+		if err != nil {
+			f.Fatal(err)
+		}
+		return adv.advice
+	}
+	short := make(local.Advice, 5)
+	for v := range short {
+		short[v] = bitstr.New(1)
+	}
+	seeds := []struct {
+		schema string
+		spec   GraphSpec
+		items  []BatchItem
+	}{
+		{"mis", cycle12, []BatchItem{{}, {}}},
+		{"mis", cycle12, []BatchItem{{Advice: inline("mis")}, {}}},
+		{"orient", cycle12, []BatchItem{{Advice: inline("orient")}}},
+		{"color3", cycle12, []BatchItem{{Advice: inline("color3")}, {Advice: short}}},
+		{"orientlll", GraphSpec{Family: "cycle", N: 12, Seed: 3}, []BatchItem{{}}},
+		{"mis", GraphSpec{Text: "n 4\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"}, []BatchItem{{}}},
+	}
+	for _, sd := range seeds {
+		for _, cache := range []bool{true, false} {
+			for _, enc := range []func(string, GraphSpec, bool, []BatchItem) ([]byte, error){EncodeBatchRequest, EncodeBatchRequestExt} {
+				frame, err := enc(sd.schema, sd.spec, cache, sd.items)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(frame)
+			}
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		s := newTestServer(t, fuzzServerConfig)
+		w := doBin(t, s, "/v1/batch", frame)
+		if w.Code >= 500 {
+			t.Errorf("batch: status %d: %s", w.Code, w.Body)
+		}
+		assertNoLeak(t, w.Body.String())
+		assertServerHealthy(t, s)
 	})
 }

@@ -401,7 +401,14 @@ func (s *Server) encodeAdvice(sc *schemaEntry, cg *cachedGraph, cached bool, src
 	if err != nil {
 		return nil, false, err
 	}
-	return v.(*adviceArtifact), hit, nil
+	// An imported record is keyed by the graph's digest but carries its own
+	// node count; a decoder must never index past the graph.
+	art := v.(*adviceArtifact)
+	if len(art.advice) != cg.g.N() {
+		return nil, false, fmt.Errorf("%s advice covers %d nodes, graph has %d: %w",
+			sc.Name, len(art.advice), cg.g.N(), local.ErrAdviceLength)
+	}
+	return art, hit, nil
 }
 
 // decodeSolution runs (or recalls) the verified decode of advice on the

@@ -102,7 +102,7 @@ func buildSchemas() map[string]*schemaEntry {
 				return ds.EncodeWith(harness.MethodDet, g, 0, nil)
 			},
 			Decode: func(g *graph.Graph, advice local.Advice) (*lcl.Solution, local.Stats, error) {
-				return ds.DecodeOn("ball", g, advice, local.RunConfig{DetLLL: true})
+				return ds.DecodeOn("ball", g, advice, local.RunConfig{})
 			},
 		}
 	}

@@ -27,7 +27,7 @@ check:
 	$(MAKE) deadcode
 	$(GO) test ./...
 	$(GO) test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp|Deterministic|RunDecider|PanicReachesCaller' ./internal/local ./internal/fault ./internal/decomp ./internal/lll ./internal/growth ./internal/eth ./internal/orient ./internal/coloring
-	$(GO) test -race -count=1 -run 'Race|Singleflight|Property|Flush|Cached' ./internal/server ./internal/cache ./internal/cluster
+	$(GO) test -race -count=1 -run 'Race|Singleflight|Property|Flush|Cached' ./internal/server ./internal/cache
 	$(MAKE) serve-smoke
 	$(MAKE) cover
 
@@ -38,7 +38,7 @@ check:
 # schema, LCL, Section 8 table and orientation packages are small and well
 # covered, so they carry a stricter 85% floor of their own.
 COVER_FLOOR := 70.0
-COVER_PKGS  := ./internal/local ./internal/graph ./internal/core ./internal/obs ./internal/server ./internal/cache ./internal/persist ./internal/cluster ./internal/coloring
+COVER_PKGS  := ./internal/local ./internal/graph ./internal/core ./internal/obs ./internal/server ./internal/cache ./internal/persist ./internal/coloring
 DECOMP_COVER_FLOOR := 85.0
 DECOMP_COVER_PKGS  := ./internal/decomp ./internal/lll ./internal/growth ./internal/lcl ./internal/eth ./internal/orient
 
@@ -75,15 +75,13 @@ check-race:
 	$(GO) test -race ./...
 
 # Short fuzzing bursts on the parser and advice-codec fuzz targets and on
-# the two binary frames the server accepts without authentication (LAAR
-# imports, LADB batches); the seed corpora alone run on every plain
-# `go test`.
+# the one binary frame the server accepts without authentication (LADB
+# batches); the seed corpora alone run on every plain `go test`.
 fuzz:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=30s ./internal/graph
 	$(GO) test -fuzz=FuzzDecodeVarArbitraryAdvice -fuzztime=30s ./internal/orient
 	$(GO) test -fuzz=FuzzDecodeArbitraryBits -fuzztime=30s ./internal/growth
 	$(GO) test -fuzz=FuzzHandleDecode -fuzztime=30s ./internal/server
-	$(GO) test -fuzz=FuzzImportFrame -fuzztime=30s ./internal/server
 	$(GO) test -fuzz=FuzzBatchFrame -fuzztime=30s ./internal/server
 	$(GO) test -fuzz=FuzzTableBinary -fuzztime=30s ./internal/persist
 	$(GO) test -fuzz=FuzzDecompose -fuzztime=30s ./internal/decomp

@@ -73,8 +73,6 @@ func run(args []string) error {
 		return cmdLoad(args[1:])
 	case "serve":
 		return cmdServe(args[1:])
-	case "cluster":
-		return cmdCluster(args[1:])
 	case "loadgen":
 		return cmdLoadgen(args[1:])
 	case "store":
@@ -119,9 +117,6 @@ subcommands:
   serve             run the HTTP/JSON serving layer (-addr -cache-mb
                     -max-inflight -timeout -store-dir); SIGTERM drains
                     gracefully; -store-dir persists artifacts across restarts
-  cluster           run a local shard fleet: -shards N serve processes plus a
-                    digest-routing router on -addr (-replicas -hot-threshold
-                    -store-root); SIGTERM drains the router then the shards
   loadgen           drive a running serve with cold/warm /v1/decode traffic
                     and report req/s + p50/p95/p99 per phase (-json for one
                     JSON report with a /v1/stats scrape); -batch adds a binary

@@ -5,32 +5,11 @@ import (
 	"localadvice/internal/persist"
 
 	"errors"
-	"fmt"
-	"io"
-	"net"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 )
-
-// TestMain doubles as the locad binary for subprocess-spawning subcommands:
-// `locad cluster` re-executes os.Executable() as its shard children, and in
-// tests that executable is this test binary. Dispatch those argv shapes
-// straight into run() so spawned children behave like the real CLI.
-func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && (os.Args[1] == "serve" || os.Args[1] == "cluster") {
-		if err := run(os.Args[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 func TestRunSubcommands(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -71,6 +50,7 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{"no args", nil},
 		{"unknown subcommand", []string{"frobnicate"}},
+		{"removed subcommand", []string{"cluster"}},
 		{"unknown experiment", []string{"exp", "E99"}},
 		{"unknown graph", []string{"orient", "-graph", "klein-bottle"}},
 		{"unknown engine", []string{"engine", "-engine", "steam"}},
@@ -169,69 +149,6 @@ func TestDotGenLoad(t *testing.T) {
 	}
 	if err := run([]string{"load"}); err == nil {
 		t.Error("load without -i accepted")
-	}
-}
-
-// TestClusterKillsShardsOnBindConflict forces `locad cluster` down its
-// mid-spawn error path — the shard comes up fine, then the router's own
-// net.Listen hits an occupied address — and asserts the already-spawned
-// shard process does not outlive the failed command. Before the teardown
-// fix, error paths leaked live shard children.
-func TestClusterKillsShardsOnBindConflict(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	// cmdCluster prints "locad cluster: shard0 pid N at URL" on stdout;
-	// capture it through a pipe to learn the spawned pid.
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := os.Stdout
-	os.Stdout = w
-	runErr := run([]string{"cluster", "-addr", l.Addr().String(), "-shards", "1", "-grace", "3s"})
-	os.Stdout = orig
-	w.Close()
-	out, _ := io.ReadAll(r)
-	r.Close()
-
-	if runErr == nil {
-		t.Fatalf("cluster on occupied %s succeeded, want bind error; output:\n%s", l.Addr(), out)
-	}
-
-	var pids []int
-	for _, line := range strings.Split(string(out), "\n") {
-		rest, ok := strings.CutPrefix(line, "locad cluster: shard")
-		if !ok {
-			continue
-		}
-		fields := strings.Fields(rest)
-		if len(fields) >= 3 && fields[1] == "pid" {
-			pid, err := strconv.Atoi(fields[2])
-			if err != nil {
-				t.Fatalf("unparseable pid in %q: %v", line, err)
-			}
-			pids = append(pids, pid)
-		}
-	}
-	if len(pids) != 1 {
-		t.Fatalf("expected 1 shard pid line, got %d; output:\n%s", len(pids), out)
-	}
-
-	// The teardown defer reaps each shard before run() returns, so the pid
-	// must already be gone; poll briefly to absorb scheduler lag.
-	for _, pid := range pids {
-		deadline := time.Now().Add(5 * time.Second)
-		for syscall.Kill(pid, 0) == nil {
-			if time.Now().After(deadline) {
-				syscall.Kill(pid, syscall.SIGKILL)
-				t.Fatalf("shard pid %d still alive after cluster bind failure", pid)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
 	}
 }
 

@@ -25,7 +25,6 @@ func cmdServe(args []string) error {
 	maxBodyMB := fs.Int("max-body-mb", 8, "request body size bound in MiB")
 	maxNodes := fs.Int("max-nodes", 200_000, "largest accepted graph (nodes)")
 	storeDir := fs.String("store-dir", "", "persistent artifact store directory (empty = no persistence)")
-	role := fs.String("role", "", "role label reported at /v1/stats (default \"single\"; locad cluster spawns shards with \"shard\")")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 	workers := workersFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -44,7 +43,6 @@ func cmdServe(args []string) error {
 		MaxBodyBytes:   int64(*maxBodyMB) << 20,
 		MaxNodes:       *maxNodes,
 		StoreDir:       *storeDir,
-		Role:           *role,
 	})
 	if err != nil {
 		return err

@@ -44,7 +44,7 @@ type Stats struct {
 	Computes   uint64 `json:"computes"`
 	Evictions  uint64 `json:"evictions"`
 	Rejected   uint64 `json:"rejected"` // computed values too large (or too late) to store
-	Puts       uint64 `json:"puts"`     // direct insertions (replicated artifacts)
+	Puts       uint64 `json:"puts"`     // direct insertions (Put)
 	Entries    int    `json:"entries"`
 	Bytes      int64  `json:"bytes"`
 	MaxBytes   int64  `json:"max_bytes"`
@@ -162,8 +162,8 @@ func (c *Cache) Do(key string, compute func() (value any, size int64, err error)
 }
 
 // Put inserts (or replaces) a value directly, bypassing singleflight: the
-// artifact was produced elsewhere — a replication push from the owning shard
-// in cluster mode — and only needs to become resident. Respects the size
+// value was produced elsewhere and only needs to become resident
+// (perfbench's hot-decode replay fills its LRU this way). Respects the size
 // bound exactly like Do's insertion path (oversized values and disabled
 // storage are rejected, LRU entries are evicted to make room) and reports
 // whether the value is now resident. A racing in-flight Do computation for

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestPutInsertsAndReplaces: the direct-insertion path (replication imports)
-// makes values resident without a compute, replaces existing entries
-// in place, and counts every call.
+// TestPutInsertsAndReplaces: the direct-insertion path makes values
+// resident without a compute, replaces existing entries in place, and
+// counts every call.
 func TestPutInsertsAndReplaces(t *testing.T) {
 	c := New(100)
 	if !c.Put("k", "v1", 10) {

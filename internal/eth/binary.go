@@ -9,8 +9,8 @@ import (
 )
 
 // Binary table codec: the payload format of the persistent artifact store's
-// KindTable records and of the table records in LAAR frames. Every field is
-// length-prefixed, so any byte sequence is a valid key or output encoding.
+// KindTable records. Every field is length-prefixed, so any byte sequence is
+// a valid key or output encoding.
 //
 // Layout (all integers little-endian):
 //

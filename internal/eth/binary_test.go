@@ -2,7 +2,7 @@ package eth
 
 import (
 	"bytes"
-	"strings"
+	"reflect"
 	"testing"
 
 	"localadvice/internal/bitstr"
@@ -108,36 +108,42 @@ func TestLoadTableBinaryRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsUnserializableOutputs pins that Compile rejects an
-// output whose text rendering holds a separator, while the binary codec
-// carries the same output fine.
-func TestCompileRejectsUnserializableOutputs(t *testing.T) {
+// TestCompileAcceptsSeparatorOutputs pins that Compile accepts an output
+// holding a space and a newline, and that the table survives the binary
+// codec and still decodes the graph to that output: length prefixes make
+// separators harmless.
+func TestCompileAcceptsSeparatorOutputs(t *testing.T) {
+	const out = "two words\n"
 	g := graph.Cycle(4)
 	advice := make(local.Advice, g.N())
 	for v := range advice {
 		advice[v] = bitstr.New(0)
 	}
-	badAlgo := func(view *local.View) any { return "two words" }
-	if _, err := Compile(badAlgo, 0, []*graph.Graph{g}, []local.Advice{advice}); err == nil {
-		t.Fatal("Compile accepted a string output with a space")
-	} else if !strings.Contains(err.Error(), "separators") {
-		t.Fatalf("Compile error %q does not name the separator problem", err)
+	algo := func(view *local.View) any { return out }
+	table, err := Compile(algo, 0, []*graph.Graph{g}, []local.Advice{advice})
+	if err != nil {
+		t.Fatalf("Compile refused a separator-bearing output: %v", err)
 	}
-
-	// The same payload as a raw table entry goes through the binary codec
-	// untouched: length prefixes make separators a non-issue.
-	table := &Table{Radius: 0, Entries: map[string]any{"k": "two words"}}
 	enc := func(v any) ([]byte, error) { return []byte(v.(string)), nil }
 	dec := func(b []byte) (any, error) { return string(b), nil }
 	var buf bytes.Buffer
 	if err := table.SaveBinary(&buf, enc); err != nil {
-		t.Fatalf("binary codec rejected a separator-bearing output: %v", err)
+		t.Fatalf("SaveBinary: %v", err)
 	}
-	got, err := LoadTableBinary(bytes.NewReader(buf.Bytes()), dec)
+	loaded, err := LoadTableBinary(bytes.NewReader(buf.Bytes()), dec)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("LoadTableBinary: %v", err)
 	}
-	if got.Entries["k"] != "two words" {
-		t.Errorf("binary round trip mangled the output: %v", got.Entries["k"])
+	if !reflect.DeepEqual(loaded.Entries, table.Entries) {
+		t.Fatalf("binary round trip changed the entries: %v, want %v", loaded.Entries, table.Entries)
+	}
+	outputs, _, err := loaded.Run(g, advice)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for v, got := range outputs {
+		if got != out {
+			t.Errorf("node %d: output %q, want %q", v, got, out)
+		}
 	}
 }

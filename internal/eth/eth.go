@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"localadvice/internal/bitstr"
@@ -202,17 +201,10 @@ func Compile(algo local.BallAlgorithm, radius int, graphs []*graph.Graph, advice
 		if err != nil {
 			return nil, fmt.Errorf("eth: graph %d: %w", i, err)
 		}
-		for v, res := range results {
+		for _, res := range results {
 			key, out := res.(compiledNode).key, res.(compiledNode).out
 			if prev, ok := t.Entries[key]; ok && prev != out {
 				return nil, fmt.Errorf("eth: algorithm is not order-invariant: key %q maps to both %v and %v", key, prev, out)
-			}
-			// Outputs whose text rendering holds a space or newline are
-			// rejected, as they were when tables also had a line-oriented
-			// text format. The binary codec, the only one left, would carry
-			// them: every field there is length-prefixed.
-			if err := checkTextSerializable(out); err != nil {
-				return nil, fmt.Errorf("eth: node %d of graph %d: %w", v, i, err)
 			}
 			t.Entries[key] = out
 		}
@@ -225,23 +217,6 @@ func Compile(algo local.BallAlgorithm, radius int, graphs []*graph.Graph, advice
 type compiledNode struct {
 	key string
 	out any
-}
-
-// checkTextSerializable rejects outputs whose natural text rendering holds
-// a space or newline. Only string-shaped outputs can hold one.
-func checkTextSerializable(out any) error {
-	s, ok := out.(string)
-	if !ok {
-		if str, ok := out.(fmt.Stringer); ok {
-			s = str.String()
-		} else {
-			return nil
-		}
-	}
-	if strings.ContainsAny(s, " \n") {
-		return fmt.Errorf("eth: output %q contains separators the text format cannot carry (use the binary codec)", s)
-	}
-	return nil
 }
 
 // Run executes the compiled table as a ball algorithm.

@@ -224,7 +224,7 @@ func (b *viewBuilder) fill(ball *Ball, v *View) {
 	ball.Dist = slices.Grow(ball.Dist[:0], k)[:k]
 	ball.Advice = slices.Grow(ball.Advice[:0], k)[:k]
 	ball.TrueDegree = slices.Grow(ball.TrueDegree[:0], k)[:k]
-	ball.Radius, ball.N, ball.Delta = v.Radius, v.N, v.Delta
+	ball.Radius, ball.Delta = v.Radius, v.Delta
 	for i, u := range nodes {
 		ball.Dist[i] = v.bfs.Dist(int(u))
 		ball.TrueDegree[i] = v.TrueDegree(int(u))
@@ -330,7 +330,7 @@ func RunBall(g *graph.Graph, advice Advice, radius int, algo BallAlgorithm, cfg 
 				outputs[v] = fault.CrashError{Node: v, Round: cfg.Fault.CrashRound}
 				continue
 			}
-			b.view.reset(g, nil, viewAdvice, v, radius, n, delta)
+			b.view.reset(g, nil, viewAdvice, v, radius, delta)
 			outputs[v] = algo(&b.view)
 			stamped += int64(b.view.stamped())
 			if testHookRunBall != nil {

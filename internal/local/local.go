@@ -92,14 +92,13 @@ func (a Advice) BitHolders() []int {
 type Message any
 
 // NodeInfo is the initial knowledge of a node in the LOCAL model: its own
-// ID, degree, the global parameters n and Δ, and its advice string. Ports
+// ID, degree, the global maximum degree Δ, and its advice string. Ports
 // 0..Degree-1 address the incident edges; port order is the graph's
 // adjacency order, but the node does not learn neighbor identities until
 // messages arrive.
 type NodeInfo struct {
 	ID     int64
 	Degree int
-	N      int
 	Delta  int
 	Advice bitstr.String
 }

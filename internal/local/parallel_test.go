@@ -19,7 +19,7 @@ import (
 // degree, distance) tuples. Any difference between two views shows up in
 // the fingerprint.
 func viewFingerprint(view *View) any {
-	return fmt.Sprintf("c%d|r%d|n%d|d%d|", view.ID(view.Center), view.Radius, view.N, view.Delta) + ballContents(view)
+	return fmt.Sprintf("c%d|r%d|d%d|", view.ID(view.Center), view.Radius, view.Delta) + ballContents(view)
 }
 
 // ballContents renders the edges and nodes of view's whole ball, sorted by
@@ -161,7 +161,7 @@ func TestViewBuilderReuse(t *testing.T) {
 			advice[v] = bitstr.New(v % 2)
 		}
 		for v := 0; v < g.N(); v += 3 {
-			b.view.reset(g, nil, advice, v, 2, g.N(), g.MaxDegree())
+			b.view.reset(g, nil, advice, v, 2, g.MaxDegree())
 			got := ballFingerprint(b.view.Materialize())
 			want := ballFingerprint(BuildView(g, advice, v, 2).Materialize())
 			if got != want {
@@ -173,8 +173,8 @@ func TestViewBuilderReuse(t *testing.T) {
 
 // ballFingerprint renders a Ball field by field, in its own index order.
 func ballFingerprint(b *Ball) string {
-	return fmt.Sprintf("c%d|r%d|n%d|d%d|ids%v|edges%v|dist%v|adv%v|deg%v",
-		b.Center, b.Radius, b.N, b.Delta, ballIDs(b.G), b.G.Edges(), b.Dist, b.Advice, b.TrueDegree)
+	return fmt.Sprintf("c%d|r%d|d%d|ids%v|edges%v|dist%v|adv%v|deg%v",
+		b.Center, b.Radius, b.Delta, ballIDs(b.G), b.G.Edges(), b.Dist, b.Advice, b.TrueDegree)
 }
 
 func ballIDs(g *graph.Graph) []int64 {

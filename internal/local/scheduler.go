@@ -50,7 +50,6 @@ func newMachines(g *graph.Graph, protocol Protocol, advice Advice) []Machine {
 		machines[v] = protocol.NewMachine(NodeInfo{
 			ID:     g.ID(v),
 			Degree: g.Degree(v),
-			N:      n,
 			Delta:  delta,
 			Advice: adv,
 		})

@@ -12,7 +12,8 @@ import (
 // LOCAL rounds. It holds the nodes at distance <= T and every edge with an
 // endpoint at distance <= T-1 (an edge between two nodes both at distance
 // exactly T is not learned in T rounds), plus IDs, advice, true degrees and
-// the global parameters.
+// the global maximum degree. It holds no node count: a decoder's output is a
+// function of its ball and Δ alone.
 //
 // A view reads a graph it does not copy, and node indices are that graph's
 // indices: the host graph's on RunBall, an assembled ball's on the message
@@ -37,8 +38,7 @@ type View struct {
 	Advice []bitstr.String
 	// Radius is the view radius T.
 	Radius int
-	// N and Delta are the global parameters known to every node.
-	N     int
+	// Delta is the global maximum degree, known to every node.
 	Delta int
 
 	g       *graph.Graph
@@ -57,9 +57,9 @@ type View struct {
 
 // reset points v at the radius-T view of center in g, with nothing beyond
 // the center stamped yet.
-func (v *View) reset(g *graph.Graph, trueDeg []int, advice []bitstr.String, center, radius, n, delta int) {
+func (v *View) reset(g *graph.Graph, trueDeg []int, advice []bitstr.String, center, radius, delta int) {
 	v.g, v.trueDeg, v.Advice = g, trueDeg, advice
-	v.Center, v.Radius, v.N, v.Delta = center, radius, n, delta
+	v.Center, v.Radius, v.Delta = center, radius, delta
 	v.bfs.Begin(g.N())
 	v.bfs.Visit(center, 0)
 	v.head, v.depth = 0, 0
@@ -235,9 +235,8 @@ type Ball struct {
 	Advice []bitstr.String
 	// TrueDegree[i] is node i's degree in the host graph.
 	TrueDegree []int
-	// Radius, N and Delta are the view's.
+	// Radius and Delta are the view's.
 	Radius int
-	N      int
 	Delta  int
 }
 
@@ -276,19 +275,19 @@ func BuildView(g *graph.Graph, advice Advice, v, radius int) *View {
 	mustValidateAdvice(g, advice)
 	b := builderPool.Get().(*viewBuilder)
 	defer builderPool.Put(b)
-	b.view.reset(g, nil, advice, v, radius, g.N(), g.Snapshot().MaxDegree())
+	b.view.reset(g, nil, advice, v, radius, g.Snapshot().MaxDegree())
 	ball := &Ball{G: new(graph.Graph)}
 	b.fill(ball, &b.view)
-	view := ballView(ball.G, ball.TrueDegree, ball.Advice, ball.Center, radius, ball.N, ball.Delta)
+	view := ballView(ball.G, ball.TrueDegree, ball.Advice, ball.Center, radius, ball.Delta)
 	view.ball = ball
 	return view
 }
 
 // ballView returns a view of center over g, a graph holding one assembled
 // ball, with a BFS scratch of its own.
-func ballView(g *graph.Graph, trueDeg []int, advice []bitstr.String, center, radius, n, delta int) *View {
+func ballView(g *graph.Graph, trueDeg []int, advice []bitstr.String, center, radius, delta int) *View {
 	view := &View{bfs: new(graph.BFSScratch)}
-	view.reset(g, trueDeg, advice, center, radius, n, delta)
+	view.reset(g, trueDeg, advice, center, radius, delta)
 	return view
 }
 
@@ -414,7 +413,7 @@ func (m *gatherMachine) assembleView() (*View, error) {
 		advice[i] = m.known[id].advice
 		trueDeg[i] = m.known[id].degree
 	}
-	return ballView(g, trueDeg, advice, idx[m.info.ID], m.p.Radius, m.info.N, m.info.Delta), nil
+	return ballView(g, trueDeg, advice, idx[m.info.ID], m.p.Radius, m.info.Delta), nil
 }
 
 func mergeIDs(dst, src []int64) []int64 {

@@ -35,12 +35,12 @@
 package server
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"localadvice/internal/local"
 	"localadvice/internal/persist"
@@ -60,11 +60,11 @@ const (
 	// gains the graph digest, ok payloads carry edge labels, rounds,
 	// messages, table entries and the cached flag alongside the node
 	// labels, and error payloads carry the typed HTTP status + error code
-	// in front of the message. This is the cluster tier's inter-node hop:
-	// a router forwards a JSON /v1/decode as a one-item extended batch and
-	// reconstructs the full DecodeResponse from the answer, so shard
-	// fan-out pays zero JSON overhead (DESIGN.md §9). Plain clients that
-	// don't set the bit get the exact version-1 response shape.
+	// in front of the message: everything a DecodeResponse holds but the
+	// elapsed time, with no JSON. perfbench's batch-decompress workload
+	// sends it, and checks the digest and each item's node and edge labels
+	// against its own graph (DESIGN.md §8). Plain clients that don't set
+	// the bit get the exact version-1 response shape.
 	flagBatchExt = 2
 )
 
@@ -87,9 +87,8 @@ func EncodeBatchRequest(schema string, spec GraphSpec, cache bool, items []Batch
 	return encodeBatchRequest(schema, spec, cache, false, items)
 }
 
-// EncodeBatchRequestExt frames an extended-items batch request — the
-// inter-node form the cluster router uses to forward decode misses to the
-// owning shard. Decode the reply with DecodeBatchResponseExt.
+// EncodeBatchRequestExt frames an extended-items batch request (the
+// flagBatchExt form). Decode the reply with DecodeBatchResponseExt.
 func EncodeBatchRequestExt(schema string, spec GraphSpec, cache bool, items []BatchItem) ([]byte, error) {
 	return encodeBatchRequest(schema, spec, cache, true, items)
 }
@@ -184,9 +183,8 @@ func DecodeBatchResponse(b []byte) ([]BatchResult, error) {
 }
 
 // BatchResultExt is one per-item answer of an extended-items batch: the
-// full decode metadata a router needs to reconstruct a DecodeResponse
-// bit-identical to the single-process answer. Exactly one of Labels/Err is
-// set.
+// decode metadata of a DecodeResponse, field for field, without the
+// elapsed time. Exactly one of Labels/Err is set.
 type BatchResultExt struct {
 	Labels       []int
 	EdgeLabels   []int // nil when the schema labels no edges
@@ -198,8 +196,8 @@ type BatchResultExt struct {
 }
 
 // BatchItemError is an extended in-band item failure: the typed HTTP
-// status and machine-readable code the owning shard would have answered a
-// direct request with, plus the message.
+// status and machine-readable code a JSON /v1/decode of the same item
+// would have answered with, plus the message.
 type BatchItemError struct {
 	Status int
 	Code   string
@@ -274,18 +272,6 @@ func readLabelRun(p *frameReader) []int {
 	return labels
 }
 
-// PeekBatchSpec parses only the header of a request frame — schema, graph
-// spec, cache flag — without touching the items. The cluster router uses it
-// to compute the routing key of a forwarded /v1/batch frame.
-func PeekBatchSpec(frame []byte) (schema string, spec GraphSpec, cached bool, err error) {
-	fr := &frameReader{b: frame}
-	schema, spec, flags, err := parseBatchHeader(fr)
-	if err != nil {
-		return "", GraphSpec{}, false, err
-	}
-	return schema, spec, flags&flagBatchCache != 0, nil
-}
-
 // parseBatchHeader consumes a request frame's header up to (but excluding)
 // the item count, leaving fr positioned on it.
 func parseBatchHeader(fr *frameReader) (schema string, spec GraphSpec, flags byte, err error) {
@@ -357,70 +343,9 @@ func (r *frameReader) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// rawEndpoint wraps a binary-response handler (batch decode, artifact
-// export) with the same serving policy as the JSON endpoints — shedding at
-// the in-flight bound, body limiting, the request deadline, panic
-// containment — but writes the returned frame as an octet stream on
-// success. Header-level failures (bad frame, unknown schema, bad graph) are
-// JSON apiErrors exactly like every other endpoint; in the batch protocol,
-// per-item failures travel in-band.
-func (s *Server) rawEndpoint(name string, h func(*http.Request) ([]byte, error)) http.HandlerFunc {
-	m := s.metrics[name]
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.shed.Add(1)
-			writeError(w, errf(http.StatusTooManyRequests, "overloaded",
-				"server at its in-flight request bound (%d); retry later", s.cfg.MaxInflight))
-			m.Observe(time.Since(start), true)
-			return
-		}
-		s.inflight.Add(1)
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-
-		type result struct {
-			frame []byte
-			err   error
-		}
-		ch := make(chan result, 1)
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					ch <- result{err: errf(http.StatusInternalServerError, "internal", "internal error")}
-				}
-				s.inflight.Add(-1)
-				<-s.sem
-			}()
-			frame, err := h(r)
-			ch <- result{frame, err}
-		}()
-
-		deadline := time.NewTimer(s.cfg.RequestTimeout)
-		defer deadline.Stop()
-		select {
-		case res := <-ch:
-			if res.err != nil {
-				writeError(w, toAPIError(res.err))
-				m.Observe(time.Since(start), true)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(res.frame)
-			m.Observe(time.Since(start), false)
-		case <-deadline.C:
-			writeError(w, errf(http.StatusGatewayTimeout, "timeout", "request timed out"))
-			m.Observe(time.Since(start), true)
-		case <-r.Context().Done():
-			m.Observe(time.Since(start), true)
-		}
-	}
-}
-
 // handleBatch parses one request frame, resolves the shared artifacts once,
 // and renders the response frame.
-func (s *Server) handleBatch(r *http.Request) ([]byte, error) {
+func (s *Server) handleBatch(_ context.Context, r *http.Request) (any, error) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return nil, err
@@ -506,7 +431,7 @@ func (s *Server) handleBatch(r *http.Request) ([]byte, error) {
 	if fr.off != len(fr.b) {
 		return nil, errf(http.StatusBadRequest, "bad_batch", "trailing bytes after item %d", count)
 	}
-	return resp, nil
+	return frameBody(resp), nil
 }
 
 func (r *frameReader) u64() uint64 {

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/local"
-	"localadvice/internal/persist"
 )
 
 // FuzzHandleDecode throws arbitrary bytes at POST /v1/decode in two forms —
@@ -68,68 +68,58 @@ func FuzzHandleDecode(f *testing.F) {
 	})
 }
 
+// probeTimeout is the request deadline of the servers the probe set runs
+// against: long enough for any probe on cycle-12, short enough that a
+// wedged key shows as a 504 within the test.
+const probeTimeout = 2 * time.Second
+
+// probeDecodes is the fixed probe set on cycle-12: the /v1/decode bodies
+// of mis, orient and color3.
+var probeDecodes = []string{
+	`{"schema":"mis","graph":{"family":"cycle","n":12}}`,
+	`{"schema":"orient","graph":{"family":"cycle","n":12}}`,
+	`{"schema":"color3","graph":{"family":"cycle","n":12}}`,
+}
+
+// assertServerHealthy runs the probe set: every probe must answer below
+// 500 without leaking internals, and once they are done no request may be
+// left in flight.
+func assertServerHealthy(t *testing.T, s *Server) {
+	t.Helper()
+	for _, body := range probeDecodes {
+		w := doReq(t, s, "POST", "/v1/decode", body)
+		if w.Code >= 500 {
+			t.Errorf("probe %s: status %d: %s", body, w.Code, w.Body)
+		}
+		assertNoLeak(t, w.Body.String())
+	}
+	assertIdle(t, s)
+}
+
+// assertIdle waits for the server to report no request in flight: a handler
+// goroutine releases its slot just after its answer is written.
+func assertIdle(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := s.inflight.Load()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests still in flight", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // fuzzServerConfig bounds what one fuzzed frame can ask of a server: small
 // graphs, a small body, and the probe set's deadline.
 var fuzzServerConfig = Config{MaxNodes: 64, MaxBodyBytes: 1 << 16, CacheBytes: 1 << 20, RequestTimeout: probeTimeout}
 
-// FuzzImportFrame throws arbitrary LAAR frames at POST
-// /v1/artifacts/import, which needs no authentication, on a fresh server.
-// Whatever the import answers, the probe set must then answer below 500,
-// never time out, leak nothing, and leave no request in flight: an
-// accepted record can change an answer but never wedge or break a key.
-// The seeds are TestArtifactImportRejectsCorruptFrame's frames, good
-// exports, and the wrong-length advice record.
-func FuzzImportFrame(f *testing.F) {
-	s := newTestServer(f, fuzzServerConfig)
-	cg, _, err := s.resolveGraph(GraphSpec{Family: "cycle", N: 12}, false, "seed")
-	if err != nil {
-		f.Fatal(err)
-	}
-	mis, lll := s.schemas["mis"], s.schemas["orientlll"]
-	var exports [][]byte
-	for _, schema := range []string{"mis", "orient", "color3"} {
-		w := doReq(f, s, "POST", "/v1/artifacts/export", `{"schema":"`+schema+`","graph":{"family":"cycle","n":12}}`)
-		if w.Code != 200 {
-			f.Fatalf("export %s: %d: %s", schema, w.Code, w.Body)
-		}
-		exports = append(exports, w.Body.Bytes())
-	}
-	misExport := exports[0]
-	adv, _, err := s.encodeAdvice(mis, cg, true, "seed")
-	if err != nil {
-		f.Fatal(err)
-	}
-	advPayload := persist.EncodeAdvice(adv.advice)
-	misFrame := func(records ...artifactRecord) []byte { return encodeArtifactFrame(mis.Name, cg.digest, records) }
-	lllBase := "advice:" + cg.digest + ":" + lll.Name + "@" + lll.Params
-	for _, frame := range exports {
-		f.Add(frame)
-	}
-	f.Add(misExport[:len(misExport)-5])
-	f.Add(append([]byte("XXXX"), misExport[4:]...))
-	f.Add([]byte("not a frame at all"))
-	f.Add(misFrame(artifactRecord{artifactAdvice, "graph:cycle:12:0", advPayload}))
-	f.Add(misFrame(artifactRecord{artifactAdvice, adviceKey(s.schemas["color3"], cg), advPayload}))
-	f.Add(misFrame(artifactRecord{artifactAdvice, tableKey(mis, cg, adv.digest), advPayload}))
-	f.Add(misFrame(artifactRecord{artifactAdvice, adviceKey(mis, cg), advPayload}, artifactRecord{artifactAdvice, "graph:cycle:12:0", advPayload}))
-	f.Add(encodeArtifactFrame(lll.Name, cg.digest, []artifactRecord{{artifactAdvice, lllBase + ":seed=-7", advPayload}}))
-	f.Add(wrongLengthAdviceFrame(f, s))
-
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		s := newTestServer(t, fuzzServerConfig)
-		w := doBin(t, s, "/v1/artifacts/import", frame)
-		if w.Code >= 500 {
-			t.Errorf("import: status %d: %s", w.Code, w.Body)
-		}
-		assertNoLeak(t, w.Body.String())
-		assertServerHealthy(t, s)
-	})
-}
-
 // FuzzBatchFrame throws arbitrary LADB frames at POST /v1/batch, which
-// needs no authentication, on a fresh server, with the same invariant as
-// FuzzImportFrame: the batch answers below 500 and the probe set stays
-// healthy after it. The seeds are EncodeBatchRequest and
+// needs no authentication, on a fresh server: the batch answers below 500
+// and the probe set stays healthy after it. The seeds are EncodeBatchRequest and
 // EncodeBatchRequestExt frames with the cache on and off, server and
 // inline advice, and an inline graph.
 func FuzzBatchFrame(f *testing.F) {

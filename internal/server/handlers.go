@@ -35,13 +35,11 @@ type GraphSpec struct {
 	Seed   int64  `json:"seed,omitempty"`
 }
 
-// SpecCacheKey maps a graph spec onto its cache key — `graph:text:<sha256>`
+// specCacheKey maps a graph spec onto its cache key — `graph:text:<sha256>`
 // for inline edge lists, `graph:<family>:<n>:<seed>` for generated families
-// (DESIGN.md §7). The key is a pure function of the request bytes, so it
-// doubles as the cluster tier's routing key: every artifact derived from a
-// spec shares this root, and rendezvous-hashing it assigns all of them to
-// one owning shard without building the graph (DESIGN.md §9).
-func SpecCacheKey(spec GraphSpec) (string, error) {
+// (DESIGN.md §7). The key is a pure function of the request bytes, so
+// resolveGraph finds a resident graph without building or parsing it.
+func specCacheKey(spec GraphSpec) (string, error) {
 	switch {
 	case spec.Text != "":
 		if spec.Family != "" {
@@ -77,9 +75,9 @@ type cachedGraph struct {
 
 // adviceArtifact is the resident form of encoded advice: the assignment and
 // its digest (adviceDigest), computed once when the artifact is made — by
-// an encode, a store load or an import — so a warm decode reads it instead
-// of hashing n nodes again. Cache-off requests build no key, so their
-// artifacts carry no digest.
+// an encode or a store load — so a warm decode reads it instead of hashing
+// n nodes again. Cache-off requests build no key, so their artifacts carry
+// no digest.
 type adviceArtifact struct {
 	advice local.Advice
 	digest string
@@ -254,7 +252,7 @@ func (s *Server) resolveSchema(name string) (*schemaEntry, error) {
 // Graphs are cheap to rebuild relative to their on-disk size, so they are
 // memoized in the LRU but never persisted.
 func (s *Server) resolveGraph(spec GraphSpec, cached bool, src string) (*cachedGraph, bool, error) {
-	key, err := SpecCacheKey(spec)
+	key, err := specCacheKey(spec)
 	if err != nil {
 		return nil, false, err
 	}
@@ -401,8 +399,9 @@ func (s *Server) encodeAdvice(sc *schemaEntry, cg *cachedGraph, cached bool, src
 	if err != nil {
 		return nil, false, err
 	}
-	// An imported record is keyed by the graph's digest but carries its own
-	// node count; a decoder must never index past the graph.
+	// The artifact is keyed by the graph's digest but carries its own node
+	// count; a decoder must never index past the graph, so the count is
+	// checked on every read, hit or miss.
 	art := v.(*adviceArtifact)
 	if len(art.advice) != cg.g.N() {
 		return nil, false, fmt.Errorf("%s advice covers %d nodes, graph has %d: %w",
@@ -483,9 +482,7 @@ func (s *Server) decodeCold(sc *schemaEntry, cg *cachedGraph, advice local.Advic
 
 // resolveTable compiles (or recalls) the schema's decoder table for (graph,
 // advice), through the same LRU → store → engine layering as encodeAdvice.
-// It is shared by the decode path and the artifact-export endpoint of the
-// cluster tier, so a replication pull resolves the identical table object a
-// decode would.
+// decodeCold, its one caller, resolves it for /v1/decode and /v1/batch.
 func (s *Server) resolveTable(sc *schemaEntry, cg *cachedGraph, advice local.Advice, advDigest string, cached bool, src string) (*eth.Table, error) {
 	tableKey := tableKey(sc, cg, advDigest)
 	tv, _, err := s.doCached(tableKey, cached, src, func() (any, int64, error) {
@@ -494,10 +491,9 @@ func (s *Server) resolveTable(sc *schemaEntry, cg *cachedGraph, advice local.Adv
 				return table, tableSize(table), nil
 			}
 		}
-		// The advice may be an imported record no decode has checked
-		// (export compiles without decoding), and the compiled decoder
-		// reads it on the ball engine's workers, beyond the request's
-		// recover.
+		// The compiled decoder reads the advice on the ball engine's
+		// workers, beyond the request's recover, so it is checked here
+		// whatever the caller checked before.
 		if sc.ValidateAdvice != nil {
 			if err := sc.ValidateAdvice(cg.g, advice); err != nil {
 				return nil, 0, err
@@ -868,7 +864,6 @@ func (s *Server) handleHealthz() any {
 // operational counters, scraped by `locad loadgen -json`, serve-smoke and
 // perfbench's timed windows.
 type StatsResponse struct {
-	Role         string                          `json:"role"`
 	UptimeNanos  int64                           `json:"uptime_nanos"`
 	Inflight     int64                           `json:"inflight"`
 	MaxInflight  int                             `json:"max_inflight"`
@@ -900,7 +895,6 @@ func (s *Server) handleStats() any {
 		total += n
 	}
 	resp := &StatsResponse{
-		Role:         s.cfg.Role,
 		UptimeNanos:  time.Since(s.start).Nanoseconds(),
 		Inflight:     s.inflight.Load(),
 		MaxInflight:  s.cfg.MaxInflight,

@@ -48,7 +48,7 @@ func TestRaceSingleflightComputesOnce(t *testing.T) {
 		t.Fatal("every request was shed; nothing exercised the cache")
 	}
 
-	cs := s.Cache().Stats()
+	cs := s.cache.Stats()
 	// The decode pipeline touches exactly four keys: graph, advice, table,
 	// decode result. Concurrency must not inflate that.
 	if cs.Computes != 4 {

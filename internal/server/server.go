@@ -68,11 +68,6 @@ type Config struct {
 	// misses, so evictions and process restarts warm-start instead of
 	// re-running the engine (DESIGN.md §8).
 	StoreDir string
-	// Role labels this process in /v1/stats: "single" (default) for a
-	// standalone server, "shard" for a cluster member behind a router
-	// (DESIGN.md §9). It changes no serving behavior — every role answers
-	// every endpoint — but lets fleet tooling tell the processes apart.
-	Role string
 }
 
 func (c Config) withDefaults() Config {
@@ -93,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 200_000
-	}
-	if c.Role == "" {
-		c.Role = "single"
 	}
 	return c
 }
@@ -163,20 +155,18 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.store = store
 	}
-	for _, name := range []string{"encode", "decode", "batch", "verify", "experiment", "flush", "healthz", "stats", "export", "import"} {
+	for _, name := range []string{"encode", "decode", "batch", "verify", "experiment", "flush", "healthz", "stats"} {
 		s.metrics[name] = &obs.EndpointMetrics{}
 		s.bypasses[name] = &atomic.Uint64{}
 	}
 	s.mux.HandleFunc("POST /v1/encode", s.endpoint("encode", s.handleEncode))
 	s.mux.HandleFunc("POST /v1/decode", s.endpoint("decode", s.handleDecode))
-	s.mux.HandleFunc("POST /v1/batch", s.rawEndpoint("batch", s.handleBatch))
+	s.mux.HandleFunc("POST /v1/batch", s.endpoint("batch", s.handleBatch))
 	s.mux.HandleFunc("POST /v1/verify", s.endpoint("verify", s.handleVerify))
 	s.mux.HandleFunc("POST /v1/experiment", s.endpoint("experiment", s.handleExperiment))
 	s.mux.HandleFunc("POST /v1/cache/flush", s.endpoint("flush", s.handleFlush))
 	s.mux.HandleFunc("GET /v1/healthz", s.direct("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /v1/stats", s.direct("stats", s.handleStats))
-	s.mux.HandleFunc("POST /v1/artifacts/export", s.rawEndpoint("export", s.handleExport))
-	s.mux.HandleFunc("POST /v1/artifacts/import", s.endpoint("import", s.handleImportCtx))
 	return s, nil
 }
 
@@ -208,10 +198,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return srv.Shutdown(ctx)
 }
-
-// Cache exposes the artifact cache (tests assert singleflight and hit-rate
-// behavior through its stats).
-func (s *Server) Cache() *cache.Cache { return s.cache }
 
 // apiError is an error with a fixed HTTP status and machine-readable code;
 // every handler failure is normalized into one before it is written.
@@ -269,6 +255,10 @@ type errorBody struct {
 // and encode handlers answer with one (decodeArtifact.response, encodeBody).
 type jsonBody []byte
 
+// frameBody is a binary response frame: serveOne writes it as an octet
+// stream. The batch handler answers with one (handleBatch).
+type frameBody []byte
+
 func writeJSON(w http.ResponseWriter, status int, v any) int {
 	data, rendered := v.(jsonBody)
 	if !rendered {
@@ -291,32 +281,14 @@ func writeError(w http.ResponseWriter, ae *apiError) int {
 	return writeJSON(w, ae.status, errorBody{Error: ae.msg, Code: ae.code})
 }
 
-// WriteJSON writes v exactly as the server's own handlers do — same
-// marshaling, Content-Type and trailing newline. The cluster router uses it
-// (and the two error writers below) when reconstructing a response from an
-// inter-node binary hop, so a routed answer is bit-identical to a direct one.
-func WriteJSON(w http.ResponseWriter, status int, v any) int {
-	return writeJSON(w, status, v)
-}
-
-// WriteError writes the uniform {"error", "code"} body with the given
-// status.
-func WriteError(w http.ResponseWriter, status int, code, msg string) int {
-	return writeJSON(w, status, errorBody{Error: msg, Code: code})
-}
-
-// WriteAPIError maps err through the same typed-sentinel normalization the
-// server applies to its own handler failures, then writes it.
-func WriteAPIError(w http.ResponseWriter, err error) int {
-	return writeError(w, toAPIError(err))
-}
-
 // handlerFunc is a pooled endpoint's compute function.
 type handlerFunc func(ctx context.Context, r *http.Request) (any, error)
 
 // endpoint wraps a handler with the serving policy: load shedding at the
 // in-flight bound, body-size limiting, a per-request deadline, panic
-// containment, and latency metering.
+// containment, and latency metering. Header-level failures of the binary
+// batch endpoint are JSON apiErrors like every other endpoint's; its
+// per-item failures travel in-band.
 func (s *Server) endpoint(name string, h handlerFunc) http.HandlerFunc {
 	m := s.metrics[name]
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -373,6 +345,11 @@ func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, h handlerFunc)
 	case res := <-ch:
 		if res.err != nil {
 			return writeError(w, toAPIError(res.err))
+		}
+		if frame, ok := res.v.(frameBody); ok {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Write(frame)
+			return http.StatusOK
 		}
 		return writeJSON(w, http.StatusOK, res.v)
 	case <-ctx.Done():

@@ -148,6 +148,8 @@ func TestEndpointMatrix(t *testing.T) {
 		// --- wrong method falls through to the mux ---
 		{"encode/wrong-method", "GET", "/v1/encode", "", 405, ""},
 		{"unknown-route", "POST", "/v1/nope", `{}`, 404, ""},
+		{"removed/artifacts-export", "POST", "/v1/artifacts/export", `{"schema":"mis","graph":` + cycleGraph + `}`, 404, ""},
+		{"removed/artifacts-import", "POST", "/v1/artifacts/import", "LAAR", 404, ""},
 	}
 
 	for _, tc := range cases {
@@ -418,7 +420,7 @@ func TestFlushResetsCache(t *testing.T) {
 	s := newTestServer(t, Config{})
 	const body = `{"schema":"mis","graph":{"family":"cycle","n":8}}`
 	doReq(t, s, "POST", "/v1/decode", body)
-	if s.Cache().Stats().Entries == 0 {
+	if s.cache.Stats().Entries == 0 {
 		t.Fatal("decode cached nothing")
 	}
 	w := doReq(t, s, "POST", "/v1/cache/flush", `{}`)
@@ -432,7 +434,7 @@ func TestFlushResetsCache(t *testing.T) {
 	if !fr.Flushed || fr.Generation == 0 {
 		t.Errorf("flush response: %+v", fr)
 	}
-	if got := s.Cache().Stats().Entries; got != 0 {
+	if got := s.cache.Stats().Entries; got != 0 {
 		t.Errorf("cache holds %d entries after flush", got)
 	}
 	w = doReq(t, s, "POST", "/v1/decode", body)
@@ -507,7 +509,7 @@ func TestDisabledCache(t *testing.T) {
 			t.Errorf("request %d: cache hit on a cache-disabled server", i)
 		}
 	}
-	if got := s.Cache().Stats().Entries; got != 0 {
+	if got := s.cache.Stats().Entries; got != 0 {
 		t.Errorf("disabled cache holds %d entries", got)
 	}
 }

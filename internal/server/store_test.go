@@ -134,7 +134,7 @@ func TestRaceStartupStampedeComputesOnce(t *testing.T) {
 
 	first := newTestServer(t, Config{StoreDir: dir})
 	stampede(first)
-	if cs := first.Cache().Stats(); cs.Computes != 4 {
+	if cs := first.cache.Stats(); cs.Computes != 4 {
 		t.Errorf("cold stampede: cache computes = %d, want 4 (graph, advice, table, decode)", cs.Computes)
 	}
 	// Exactly one advice encode + one table compilation, no matter how many
@@ -145,7 +145,7 @@ func TestRaceStartupStampedeComputesOnce(t *testing.T) {
 
 	warm := newTestServer(t, Config{StoreDir: dir})
 	stampede(warm)
-	if cs := warm.Cache().Stats(); cs.Computes != 4 {
+	if cs := warm.cache.Stats(); cs.Computes != 4 {
 		t.Errorf("warm stampede: cache computes = %d, want 4", cs.Computes)
 	}
 	if n := warm.engineComputes.Load(); n != 0 {

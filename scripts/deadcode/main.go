@@ -64,7 +64,6 @@ var keep = map[string]string{
 	"bitstr.FindHeader":               "oracle: marker-code header search in codec tests",
 	"bitstr.MarkerEncodedLen":         "oracle: marker-code length in codec tests",
 	"cache.Cache.Keys":                "oracle: the LRU property test reads the recency order",
-	"cluster.Router.Metrics":          "oracle: router tests read forwarding and replication counters",
 	"obs.RoundMetric.Deterministic":   "oracle: the worker-count-independent fields determinism tests compare",
 	"core.OneBitCodec.MaxPayloadBits": "oracle: the 1-bit codec's capacity, which its tests fill",
 	"fault.Report.String":             "fmt.Stringer: renders a fault report in test failures",

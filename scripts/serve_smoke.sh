@@ -19,11 +19,9 @@ stats="$workdir/loadgen.json"
 store="$workdir/store"
 bin="$workdir/locad"
 serve_pid=
-cluster_pid=
 
 cleanup() {
     [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true
-    [ -n "$cluster_pid" ] && kill "$cluster_pid" 2>/dev/null || true
     rm -rf "$workdir"
 }
 trap cleanup EXIT INT TERM
@@ -98,62 +96,3 @@ echo "serve-smoke: restart recovery ok (identical labels, engine_computes 0)"
 
 stop_serve "$log2"
 echo "serve-smoke: restart graceful shutdown ok"
-
-# --- Cluster smoke: router + 2 shards -----------------------------------
-# Start a 2-shard fleet, drive routed load, kill one shard, verify the
-# router still answers correctly (degraded: failover, not failure), then
-# SIGTERM the whole fleet to a clean exit.
-cluster_log="$workdir/cluster.log"
-cluster_stats="$workdir/cluster_loadgen.json"
-cluster_pid=
-"$bin" cluster -addr 127.0.0.1:0 -shards 2 -hot-threshold 4 >"$cluster_log" 2>&1 &
-cluster_pid=$!
-raddr=
-for _ in $(seq 1 100); do
-    raddr=$(sed -n 's/^locad cluster: router listening on //p' "$cluster_log")
-    [ -n "$raddr" ] && break
-    kill -0 "$cluster_pid" 2>/dev/null || { echo "cluster died early:"; cat "$cluster_log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$raddr" ] || { echo "cluster never reported its router address:"; cat "$cluster_log"; exit 1; }
-shard0_pid=$(sed -n 's/^locad cluster: shard0 pid \([0-9]*\) at .*/\1/p' "$cluster_log")
-[ -n "$shard0_pid" ] || { echo "no shard0 pid line:"; cat "$cluster_log"; exit 1; }
-echo "serve-smoke: cluster router at $raddr (shard0 pid $shard0_pid)"
-
-# Routed cold/warm load through the router.
-"$bin" loadgen -addr "$raddr" -n 128 -duration "$duration" -json >"$cluster_stats"
-grep -q '"warm_over_cold_rps"' "$cluster_stats" || {
-    echo "routed loadgen report incomplete"; cat "$cluster_stats"; exit 1; }
-echo "serve-smoke: routed loadgen ok"
-
-# Healthy-fleet answer for the degradation comparison.
-cprobe1="$workdir/cluster_probe1.json"
-"$bin" loadgen -addr "$raddr" -n 128 -probe >"$cprobe1"
-clabels1=$(sed -n 's/^  "labels": "\(.*\)",*$/\1/p' "$cprobe1")
-[ -n "$clabels1" ] || { echo "routed probe returned no labels"; cat "$cprobe1"; exit 1; }
-
-# Kill one shard outright; the router must route around it. Give the
-# health loop (1s period) a tick to notice before scraping the fleet view.
-kill -KILL "$shard0_pid"
-sleep 1.5
-cprobe2="$workdir/cluster_probe2.json"
-"$bin" loadgen -addr "$raddr" -n 128 -probe >"$cprobe2"
-clabels2=$(sed -n 's/^  "labels": "\(.*\)",*$/\1/p' "$cprobe2")
-[ "$clabels1" = "$clabels2" ] || {
-    echo "degraded cluster answer differs:"
-    echo "before: $clabels1"; echo "after:  $clabels2"; exit 1
-}
-grep -q '"healthy_shards": 1' "$cprobe2" || {
-    echo "router stats never marked the killed shard unhealthy:"; cat "$cprobe2"; exit 1
-}
-echo "serve-smoke: degraded-but-correct ok (shard killed, identical labels)"
-
-kill -TERM "$cluster_pid"
-rc=0
-wait "$cluster_pid" || rc=$?
-cluster_pid=
-if [ "$rc" -ne 0 ]; then
-    echo "cluster exited $rc on SIGTERM:"; cat "$cluster_log"; exit 1
-fi
-grep -q 'shutting down' "$cluster_log" || { echo "no cluster shutdown line:"; cat "$cluster_log"; exit 1; }
-echo "serve-smoke: cluster graceful shutdown ok"

@@ -26,7 +26,7 @@ check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(MAKE) deadcode
 	$(GO) test ./...
-	$(GO) test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp|Deterministic|RunDecider|PanicReachesCaller' ./internal/local ./internal/fault ./internal/decomp ./internal/lll ./internal/growth ./internal/eth ./internal/orient ./internal/coloring
+	$(GO) test -race -count=1 -run 'Equivalence|Matches|WorkerCount|Crash|Fault|Normalize|Decomp|Deterministic|RunDecider|PanicReachesCaller' ./internal/local ./internal/graph ./internal/fault ./internal/decomp ./internal/lll ./internal/growth ./internal/eth ./internal/orient ./internal/coloring
 	$(GO) test -race -count=1 -run 'Race|Singleflight|Property|Flush|Cached' ./internal/server ./internal/cache
 	$(MAKE) serve-smoke
 	$(MAKE) cover
@@ -74,11 +74,13 @@ check-race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Short fuzzing bursts on the parser and advice-codec fuzz targets and on
-# the one binary frame the server accepts without authentication (LADB
+# Short fuzzing bursts on the parser and advice-codec fuzz targets, on the
+# multi-source BFS against its per-node reference, and on the one binary
+# frame the server accepts without authentication (LADB
 # batches); the seed corpora alone run on every plain `go test`.
 fuzz:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=30s ./internal/graph
+	$(GO) test -fuzz=FuzzNearestSources -fuzztime=30s ./internal/graph
 	$(GO) test -fuzz=FuzzDecodeVarArbitraryAdvice -fuzztime=30s ./internal/orient
 	$(GO) test -fuzz=FuzzDecodeArbitraryBits -fuzztime=30s ./internal/growth
 	$(GO) test -fuzz=FuzzHandleDecode -fuzztime=30s ./internal/server

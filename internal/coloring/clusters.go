@@ -3,7 +3,6 @@ package coloring
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/core"
@@ -74,52 +73,29 @@ func (ClusterColoringStage) Problem() lcl.Problem { return UnboundedColoring{} }
 func (c ClusterColoringStage) DecodeRadius() int { return 3*c.CoverRadius + 1 }
 
 // voronoi assigns every node to its nearest center (ties toward the
-// smaller ID), returning the cluster index per node.
+// smaller ID), returning the cluster index per node (-1 where no center
+// reaches). centers must be in ID order, as GreedyRulingSet returns them.
 func voronoi(g *graph.Graph, centers []int) []int {
 	cluster := make([]int, g.N())
-	bestDist := make([]int, g.N())
 	for v := range cluster {
 		cluster[v] = -1
 	}
-	for ci, c := range centers {
-		for v, d := range g.BFSFrom(c) {
-			if d == -1 {
-				continue
-			}
-			switch {
-			case cluster[v] == -1,
-				d < bestDist[v],
-				d == bestDist[v] && g.ID(c) < g.ID(centers[cluster[v]]):
-				cluster[v] = ci
-				bestDist[v] = d
-			}
-		}
+	var s graph.BFSScratch
+	for _, v := range g.NearestSources(centers, -1, &s) {
+		cluster[v] = s.Owner(int(v))
 	}
 	return cluster
 }
 
-// innerColoring colors the nodes of one cluster greedily by ID within the
-// induced subgraph, with colors 1..Δ+1.
-func innerColoring(g *graph.Graph, members []int) map[int]int {
-	sorted := append([]int(nil), members...)
-	sort.Slice(sorted, func(a, b int) bool { return g.ID(sorted[a]) < g.ID(sorted[b]) })
-	inCluster := make(map[int]bool, len(members))
+// innerColoring colors the members of one cluster greedily by ID within
+// the induced subgraph, with colors 1..Δ+1, and returns the colors by node
+// (0 off the cluster). It sorts members into ID order.
+func innerColoring(g *graph.Graph, members []int) []int {
+	g.SortByID(members)
+	colors := make([]int, g.N())
+	nbr := newNeighborColors(g)
 	for _, v := range members {
-		inCluster[v] = true
-	}
-	colors := make(map[int]int, len(members))
-	for _, v := range sorted {
-		used := map[int]bool{}
-		for _, w := range g.Neighbors(v) {
-			if inCluster[w] {
-				used[colors[w]] = true
-			}
-		}
-		c := 1
-		for used[c] {
-			c++
-		}
-		colors[v] = c
+		colors[v] = nbr.smallestMissing(g, colors, v)
 	}
 	return colors
 }
@@ -129,7 +105,7 @@ func (c ClusterColoringStage) EncodeVar(g *graph.Graph, _ []*lcl.Solution) (core
 	if c.CoverRadius < 1 {
 		return nil, fmt.Errorf("coloring: cluster cover radius must be >= 1, got %d", c.CoverRadius)
 	}
-	centers := greedyCover(g, c.CoverRadius)
+	centers := g.GreedyRulingSet(g.NodesByID(), c.CoverRadius)
 	cluster := voronoi(g, centers)
 	// Proper coloring of the cluster graph, greedily by center ID.
 	clusterColors, err := colorClusterGraph(g, centers, cluster)
@@ -161,30 +137,8 @@ func maxInt(xs []int) int {
 	return m
 }
 
-// greedyCover returns a set with pairwise distance >= cover+1 and covering
-// radius cover, greedily by ID.
-func greedyCover(g *graph.Graph, cover int) []int {
-	order := make([]int, g.N())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return g.ID(order[a]) < g.ID(order[b]) })
-	covered := make([]bool, g.N())
-	var set []int
-	for _, v := range order {
-		if covered[v] {
-			continue
-		}
-		set = append(set, v)
-		for _, u := range g.Ball(v, cover) {
-			covered[u] = true
-		}
-	}
-	return set
-}
-
 // colorClusterGraph properly colors the contracted cluster graph greedily
-// by center ID.
+// by center ID; centers are in ID order.
 func colorClusterGraph(g *graph.Graph, centers []int, cluster []int) ([]int, error) {
 	adj := make([]map[int]bool, len(centers))
 	for i := range adj {
@@ -197,13 +151,8 @@ func colorClusterGraph(g *graph.Graph, centers []int, cluster []int) ([]int, err
 			adj[b][a] = true
 		}
 	}
-	order := make([]int, len(centers))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return g.ID(centers[order[a]]) < g.ID(centers[order[b]]) })
 	colors := make([]int, len(centers))
-	for _, ci := range order {
+	for ci := range centers {
 		used := map[int]bool{}
 		for cj := range adj[ci] {
 			if colors[cj] != 0 {
@@ -243,9 +192,9 @@ func (c ClusterColoringStage) DecodeVar(g *graph.Graph, va core.VarAdvice, _ []*
 }
 
 // decodeNode computes the center's combined (cluster color, inner color)
-// color from its view. It reads the whole ball (every center within
-// 2*CoverRadius and a BFS from each candidate member), so it materializes
-// the view first.
+// color from its view. It reads the whole ball, so it materializes the
+// view first, and assigns every view node to its nearest center in one
+// multi-source BFS.
 func (c ClusterColoringStage) decodeNode(lazy *local.View, delta int) any {
 	view := lazy.Materialize()
 	vg := view.G
@@ -261,57 +210,31 @@ func (c ClusterColoringStage) decodeNode(lazy *local.View, delta int) any {
 	if len(centers) == 0 {
 		return fmt.Errorf("no cluster center within distance %d", c.DecodeRadius())
 	}
-	// My cluster: nearest center by view distances (the view is large
-	// enough that these match graph distances for the relevant nodes).
-	my := c.ownCluster(view, centers)
+	// Nearest center by view distances (the view is large enough that
+	// these match graph distances for the relevant nodes), ties toward the
+	// smaller ID.
+	vg.SortByID(centers)
+	var s graph.BFSScratch
+	reached := vg.NearestSources(centers, -1, &s)
+	my := s.Owner(view.Center)
 	if my == -1 {
 		return fmt.Errorf("could not settle cluster membership")
 	}
-	myCenter := centers[my]
-	clusterColor := int(view.Advice[myCenter].Uint()) + 1
+	clusterColor := int(view.Advice[centers[my]].Uint()) + 1
 
-	// Members of my cluster among visible nodes: nodes whose nearest
-	// visible center is mine. Nodes within CoverRadius of my center have
-	// all their candidate centers within 2*CoverRadius of my center, i.e.
+	// Members of my cluster among visible nodes: nodes within CoverRadius
+	// of my center whose nearest visible center is mine. They have all
+	// their candidate centers within 2*CoverRadius of my center, i.e.
 	// within 3*CoverRadius of me — visible.
-	distFromCenter := vg.BFSFrom(myCenter)
 	var members []int
-	for i := 0; i < vg.N(); i++ {
-		if distFromCenter[i] == -1 || distFromCenter[i] > c.CoverRadius {
-			continue
-		}
-		if c.nearestCenter(vg, i, centers) == my {
+	for _, u := range reached {
+		if i := int(u); s.Owner(i) == my && s.Dist(i) <= c.CoverRadius {
 			members = append(members, i)
 		}
 	}
-	inner := innerColoring(vg, members)
-	innerColor, ok := inner[view.Center]
-	if !ok {
+	innerColor := innerColoring(vg, members)[view.Center]
+	if innerColor == 0 {
 		return fmt.Errorf("center not a member of its own cluster")
 	}
 	return (clusterColor-1)*(delta+1) + innerColor
-}
-
-// ownCluster returns the index (into centers) of the viewing node's
-// cluster, or -1.
-func (c ClusterColoringStage) ownCluster(view *local.Ball, centers []int) int {
-	return c.nearestCenter(view.G, view.Center, centers)
-}
-
-// nearestCenter returns the index of the center nearest to node v in the
-// view graph, ties toward the smallest ID; -1 if none reachable.
-func (c ClusterColoringStage) nearestCenter(vg *graph.Graph, v int, centers []int) int {
-	dist := vg.BFSFrom(v)
-	best := -1
-	for i, center := range centers {
-		d := dist[center]
-		if d == -1 {
-			continue
-		}
-		if best == -1 || d < dist[centers[best]] ||
-			d == dist[centers[best]] && vg.ID(center) < vg.ID(centers[best]) {
-			best = i
-		}
-	}
-	return best
 }

@@ -3,7 +3,6 @@ package coloring
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/core"
@@ -99,7 +98,7 @@ func (s ShiftStage) portWidth() int {
 // shared by encoder and decoder.
 func sortedNeighbors(g *graph.Graph, v int) []int {
 	nbrs := append([]int(nil), g.Neighbors(v)...)
-	sort.Slice(nbrs, func(a, b int) bool { return g.ID(nbrs[a]) < g.ID(nbrs[b]) })
+	g.SortByID(nbrs)
 	return nbrs
 }
 
@@ -116,7 +115,7 @@ func (s ShiftStage) EncodeVar(g *graph.Graph, oracles []*lcl.Solution) (core.Var
 			uncolored = append(uncolored, v)
 		}
 	}
-	sort.Slice(uncolored, func(a, b int) bool { return g.ID(uncolored[a]) < g.ID(uncolored[b]) })
+	g.SortByID(uncolored)
 
 	va := make(core.VarAdvice)
 	blocked := make([]bool, g.N()) // on or adjacent to an accepted path

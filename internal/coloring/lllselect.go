@@ -75,7 +75,7 @@ func (t ThreeColoring) buildSelectSystem(g *graph.Graph) (*selectSystem, error) 
 		if sub.Diameter() <= t.SmallDiameter() {
 			continue
 		}
-		for _, r := range componentRulingSet(sub, t.CoverRadius) {
+		for _, r := range sub.GreedyRulingSet(sub.NodesByID(), t.CoverRadius) {
 			distR := sub.BFSFrom(r)
 			candidates := t.candidateSets(g, sub, orig, phi, distR)
 			rc := rulerChoice{compNode: orig[r]}

@@ -2,7 +2,6 @@ package coloring
 
 import (
 	"fmt"
-	"sort"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/core"
@@ -108,23 +107,14 @@ func (s SpreadStage) EncodeVar(g *graph.Graph, oracles []*lcl.Solution) (core.Va
 			uncolored = append(uncolored, v)
 		}
 	}
-	sort.Slice(uncolored, func(a, b int) bool { return g.ID(uncolored[a]) < g.ID(uncolored[b]) })
+	g.SortByID(uncolored)
 
 	// Keep a Spacing-separated subset (greedy by ID); everyone else gets a
 	// shift path now.
-	keep := map[int]bool{}
-	for _, v := range uncolored {
-		ok := true
-		dist := g.BFSFrom(v)
-		for u := range keep {
-			if d := dist[u]; d != -1 && d <= s.Spacing {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			keep[v] = true
-		}
+	kept := g.GreedyRulingSet(uncolored, s.Spacing)
+	keep := make([]bool, g.N())
+	for _, v := range kept {
+		keep[v] = true
 	}
 
 	// Reuse the ShiftStage prover for the non-kept nodes; kept nodes (and
@@ -132,7 +122,7 @@ func (s SpreadStage) EncodeVar(g *graph.Graph, oracles []*lcl.Solution) (core.Va
 	shift := ShiftStage{Delta: delta}
 	va := make(core.VarAdvice)
 	blocked := make([]bool, g.N())
-	for v := range keep {
+	for _, v := range kept {
 		blocked[v] = true
 		for _, u := range g.Neighbors(v) {
 			blocked[u] = true

@@ -171,7 +171,7 @@ func (t ThreeColoring) Encode(g *graph.Graph) (local.Advice, error) {
 		if sub.Diameter() <= t.SmallDiameter() {
 			continue // small component: decoded canonically, no advice
 		}
-		rulers := componentRulingSet(sub, t.CoverRadius)
+		rulers := sub.GreedyRulingSet(sub.NodesByID(), t.CoverRadius)
 		for _, r := range rulers {
 			group, err := t.placeGroup(g, sub, orig, phi, marked, bit, r)
 			if err != nil {
@@ -236,27 +236,6 @@ func colorComponents(g *graph.Graph, phi []int) [][]int {
 		out = append(out, comp)
 	}
 	return out
-}
-
-// componentRulingSet returns a greedy covering set of the component graph.
-func componentRulingSet(sub *graph.Graph, cover int) []int {
-	order := make([]int, sub.N())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return sub.ID(order[a]) < sub.ID(order[b]) })
-	covered := make([]bool, sub.N())
-	var set []int
-	for _, v := range order {
-		if covered[v] {
-			continue
-		}
-		set = append(set, v)
-		for _, u := range sub.Ball(v, cover) {
-			covered[u] = true
-		}
-	}
-	return set
 }
 
 // placeGroup finds the two marked sets S and S′ near ruling node r (an

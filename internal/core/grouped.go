@@ -62,7 +62,7 @@ func (c GroupedOneBitCodec) groups(g *graph.Graph, va VarAdvice) ([][]int, error
 	for v := range va {
 		holders = append(holders, v)
 	}
-	sort.Slice(holders, func(a, b int) bool { return g.ID(holders[a]) < g.ID(holders[b]) })
+	g.SortByID(holders)
 	parent := map[int]int{}
 	var find func(v int) int
 	find = func(v int) int {
@@ -75,11 +75,11 @@ func (c GroupedOneBitCodec) groups(g *graph.Graph, va VarAdvice) ([][]int, error
 	for _, v := range holders {
 		parent[v] = v
 	}
-	for i, u := range holders {
-		dist := g.BFSFrom(u)
-		for _, w := range holders[i+1:] {
-			if d := dist[w]; d != -1 && d <= c.GroupRadius {
-				parent[find(u)] = find(w)
+	var s graph.BFSScratch
+	for _, u := range holders {
+		for _, w := range g.BFSWithin(u, c.GroupRadius, &s) {
+			if _, ok := va[int(w)]; ok {
+				parent[find(u)] = find(int(w))
 			}
 		}
 	}
@@ -90,7 +90,7 @@ func (c GroupedOneBitCodec) groups(g *graph.Graph, va VarAdvice) ([][]int, error
 	}
 	var out [][]int
 	for _, members := range byRoot {
-		sort.Slice(members, func(a, b int) bool { return g.ID(members[a]) < g.ID(members[b]) })
+		g.SortByID(members)
 		out = append(out, members)
 	}
 	sort.Slice(out, func(a, b int) bool { return g.ID(out[a][0]) < g.ID(out[b][0]) })
@@ -100,7 +100,7 @@ func (c GroupedOneBitCodec) groups(g *graph.Graph, va VarAdvice) ([][]int, error
 // addrBall returns the ID-sorted ball of the address radius around rep.
 func (c GroupedOneBitCodec) addrBall(g *graph.Graph, rep int) []int {
 	ball := g.Ball(rep, c.addrRadius())
-	sort.Slice(ball, func(a, b int) bool { return g.ID(ball[a]) < g.ID(ball[b]) })
+	g.SortByID(ball)
 	return ball
 }
 

@@ -56,13 +56,23 @@ func (c OneBitCodec) Encode(g *graph.Graph, va VarAdvice) (local.Advice, error) 
 	}
 	sort.Ints(holders)
 
-	// Spacing check.
-	for i, u := range holders {
-		dist := g.BFSFrom(u)
-		for _, w := range holders[i+1:] {
-			if d := dist[w]; d != -1 && d <= 2*c.Radius+2 {
-				return nil, fmt.Errorf("core: holders %d and %d at distance %d <= %d", u, w, d, 2*c.Radius+2)
+	// Spacing check: report the first pair in index order, as a scan of
+	// every later holder from every holder would.
+	spacing := 2*c.Radius + 2
+	isHolder := make([]bool, g.N())
+	for _, v := range holders {
+		isHolder[v] = true
+	}
+	var s graph.BFSScratch
+	for _, u := range holders {
+		w := -1
+		for _, x := range g.BFSWithin(u, spacing, &s) {
+			if x := int(x); x > u && isHolder[x] && (w == -1 || x < w) {
+				w = x
 			}
+		}
+		if w != -1 {
+			return nil, fmt.Errorf("core: holders %d and %d at distance %d <= %d", u, w, s.Dist(w), spacing)
 		}
 	}
 
@@ -140,7 +150,7 @@ func nextByID(g *graph.Graph, node int, dist []int, d int) []int {
 			out = append(out, w)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return g.ID(out[a]) < g.ID(out[b]) })
+	g.SortByID(out)
 	return out
 }
 

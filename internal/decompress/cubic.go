@@ -2,7 +2,6 @@ package decompress
 
 import (
 	"fmt"
-	"sort"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/graph"
@@ -87,11 +86,7 @@ func buildCubicPlan(g *graph.Graph) (*cubicPlan, error) {
 			}
 		}
 	}
-	order := make([]int, g.N())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return g.ID(order[a]) < g.ID(order[b]) })
+	order := g.NodesByID()
 
 	outDeg := make([]int, g.N())
 	for peeled := 0; peeled < g.N(); peeled++ {

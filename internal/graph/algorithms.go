@@ -113,28 +113,46 @@ func (g *Graph) Diameter() int {
 
 // InducedSubgraph returns the subgraph induced by the given node indices,
 // preserving node IDs, together with the mapping from new indices to
-// original indices.
+// original indices. It panics on a node listed twice.
 func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
-	idx := make(map[int]int, len(nodes))
-	orig := make([]int, len(nodes))
-	ids := make([]int64, len(nodes))
-	for i, v := range nodes {
-		if _, dup := idx[v]; dup {
+	s := scratchPool.Get().(*BFSScratch)
+	defer scratchPool.Put(s)
+	s.begin(g.n)
+	for _, v := range nodes {
+		if s.Visited(v) {
 			panic(fmt.Sprintf("graph: duplicate node %d in induced subgraph", v))
 		}
-		idx[v] = i
-		orig[i] = v
-		ids[i] = g.ids[v]
+		s.visit(int32(v), 0)
 	}
-	var edges []Edge
-	for i, v := range nodes {
-		for _, w := range g.adj[v] {
-			if j, ok := idx[w]; ok && i < j {
-				edges = append(edges, Edge{U: i, V: j})
-			}
+	sub := new(Graph)
+	sub.Induce(g, s)
+	return sub, append([]int(nil), nodes...)
+}
+
+// GreedyRulingSet scans the candidates in increasing ID order and keeps each
+// one that no earlier kept candidate reaches within distance r (negative
+// means within its component). It returns the kept nodes in ID order: they
+// are pairwise farther than r apart and every candidate lies within r of
+// one, so with every node a candidate (NodesByID) the result is the
+// ID-greedy (r+1, r)-ruling set the paper's clusterings start from. A
+// candidate listed twice counts once.
+func (g *Graph) GreedyRulingSet(candidates []int, r int) []int {
+	kept := append([]int(nil), candidates...)
+	g.SortByID(kept)
+	s := scratchPool.Get().(*BFSScratch)
+	defer scratchPool.Put(s)
+	covered := make([]bool, g.n)
+	out := kept[:0] // overwrites only entries already read
+	for _, v := range kept {
+		if covered[v] {
+			continue
+		}
+		out = append(out, v)
+		for _, u := range g.BFSWithin(v, r, s) {
+			covered[u] = true
 		}
 	}
-	return NewFromEdges(ids, edges), orig
+	return out
 }
 
 // Bipartition returns a 2-coloring (values 0/1) of the nodes if the graph is

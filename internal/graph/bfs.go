@@ -74,6 +74,7 @@ type BFSScratch struct {
 	stamp []uint32 // stamp[v] == epoch  ⇔  v visited in the current traversal
 	dist  []int32
 	pos   []int32 // position of v in order, for view-local index lookup
+	owner []int32 // index of the source that claimed v (NearestSources only)
 	order []int32 // nodes in visit order; also the BFS queue
 	epoch uint32
 }
@@ -181,6 +182,59 @@ func (g *Graph) BFSWithin(v, r int, s *BFSScratch) []int32 {
 		}
 	}
 	return s.order
+}
+
+// NearestSources runs one breadth-first traversal from all sources at once,
+// truncated at radius r (negative means unbounded), and returns the reached
+// nodes in visit order, as a slice owned by the scratch. Each reached node's
+// distance to its nearest source is available from Dist and its owner from
+// Owner: the index into sources of the first source to claim it. Sources are
+// queued in list order (a source listed twice keeps its first index), so
+// every distance layer of the FIFO queue stays grouped by owner, and a node's
+// owner is the earliest listed of its nearest sources. With the sources
+// listed in ID order, that is the nearest source with ties toward the
+// smaller ID: a Voronoi assignment in one O(ball) pass.
+//
+// It walks the adjacency lists rather than a CSR snapshot, which a graph
+// rebuilt for every view would have to allocate afresh.
+func (g *Graph) NearestSources(sources []int, r int, s *BFSScratch) []int32 {
+	s.begin(g.n)
+	if len(s.owner) < len(s.stamp) {
+		s.owner = make([]int32, len(s.stamp))
+	}
+	for i, v := range sources {
+		if v < 0 || v >= g.n {
+			panic(fmt.Sprintf("graph: NearestSources source %d out of range [0,%d)", v, g.n))
+		}
+		if s.stamp[v] != s.epoch {
+			s.visit(int32(v), 0)
+			s.owner[v] = int32(i)
+		}
+	}
+	for head := 0; head < len(s.order); head++ {
+		u := s.order[head]
+		du := s.dist[u]
+		if r >= 0 && int(du) >= r {
+			continue
+		}
+		for _, w := range g.adj[u] {
+			if s.stamp[w] != s.epoch {
+				s.visit(int32(w), du+1)
+				s.owner[w] = s.owner[u]
+			}
+		}
+	}
+	return s.order
+}
+
+// Owner returns the index into the sources of the most recent NearestSources
+// traversal of the source that claimed v, or -1 if v was not reached. After
+// any other traversal its value is meaningless.
+func (s *BFSScratch) Owner(v int) int {
+	if !s.Visited(v) || v >= len(s.owner) {
+		return -1
+	}
+	return int(s.owner[v])
 }
 
 // scratchPool supplies BFSScratch instances to the allocation-free

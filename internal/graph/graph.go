@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -111,7 +112,7 @@ func NewFromEdges(ids []int64, edges []Edge) *Graph {
 // drops the cached NodeByID map and CSR snapshot, and every slice g's
 // accessors returned before it is invalid afterwards.
 func (g *Graph) Rebuild(ids []int64, edges []Edge) {
-	n, m := len(ids), len(edges)
+	n := len(ids)
 	for v, id := range ids {
 		if id <= 0 {
 			panic(fmt.Sprintf("graph: non-positive ID %d for node %d", id, v))
@@ -122,9 +123,37 @@ func (g *Graph) Rebuild(ids []int64, edges []Edge) {
 			panic(fmt.Sprintf("graph: bad edge {%d,%d} for %d nodes", e.U, e.V, n))
 		}
 	}
-	g.n = n
 	g.ids = append(g.ids[:0], ids...)
 	g.edges = append(g.edges[:0], edges...)
+	g.layout()
+}
+
+// Induce rebuilds g in place as the subgraph of h induced by the nodes s
+// has visited since its last traversal began: node i of g is the i-th
+// visited node and keeps its ID, and the edges are h's edges between
+// visited nodes, in visit order and then h's adjacency order (the order
+// InducedSubgraph has always produced). Like Rebuild it reuses g's storage,
+// so a graph induced over and over stops allocating once it has held its
+// largest subgraph. g must not be h.
+func (g *Graph) Induce(h *Graph, s *BFSScratch) {
+	g.ids = g.ids[:0]
+	g.edges = g.edges[:0]
+	for i, v := range s.order {
+		g.ids = append(g.ids, h.ids[v])
+		for _, w := range h.adj[v] {
+			if j := s.Pos(w); j > i {
+				g.edges = append(g.edges, Edge{U: i, V: j})
+			}
+		}
+	}
+	g.layout()
+}
+
+// layout lays out the adjacency and incidence lists of g.ids and g.edges in
+// g.buf and drops the cached NodeByID map and CSR snapshot.
+func (g *Graph) layout() {
+	n, m := len(g.ids), len(g.edges)
+	g.n = n
 	g.buf = slices.Grow(g.buf[:0], 4*m+n)[:4*m+n]
 	adjBacking, incBacking, deg := g.buf[:2*m], g.buf[2*m:4*m], g.buf[4*m:]
 	clear(deg)
@@ -274,6 +303,23 @@ func (g *Graph) AllDegreesEven() bool {
 
 // ID returns the unique identifier of node v.
 func (g *Graph) ID(v int) int64 { return g.ids[v] }
+
+// SortByID sorts node indices into increasing ID order. IDs are unique, so
+// the order is total and every sort of the same nodes gives the same result.
+func (g *Graph) SortByID(nodes []int) {
+	slices.SortFunc(nodes, func(a, b int) int { return cmp.Compare(g.ids[a], g.ids[b]) })
+}
+
+// NodesByID returns every node index in increasing ID order: the scan order
+// of the paper's ID-greedy constructions.
+func (g *Graph) NodesByID() []int {
+	nodes := make([]int, g.n)
+	for v := range nodes {
+		nodes[v] = v
+	}
+	g.SortByID(nodes)
+	return nodes
+}
 
 // NodeByID returns the node index carrying the identifier id, or -1. The
 // first call builds the lookup map (panicking on duplicate IDs); concurrent

@@ -89,13 +89,8 @@ func RemapIDsOrderPreserving(g *Graph, rng *rand.Rand) {
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 
 	// Rank the old IDs.
-	order := make([]int, n)
-	for v := range order {
-		order[v] = v
-	}
-	sort.Slice(order, func(i, j int) bool { return g.ID(order[i]) < g.ID(order[j]) })
 	ids := make([]int64, n)
-	for rank, v := range order {
+	for rank, v := range g.NodesByID() {
 		ids[v] = vals[rank]
 	}
 	if err := g.SetIDs(ids); err != nil {

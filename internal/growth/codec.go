@@ -51,7 +51,7 @@ func (s Schema) adviceBits(g *graph.Graph, sol *lcl.Solution) ([]int, error) {
 	for mi := range c.markers {
 		strip := stripNodes(g, c, mi, rbar, sc)
 		domainNodes(g, c, mi, strip, sc)
-		payload, err := s.stripBits(g, sol, strip, sc.pos)
+		payload, err := s.stripBits(g, sol, strip, &sc.index)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +248,8 @@ func (d *decoder) decodeNode(lazy *local.View) any {
 		}
 		return v, nil
 	}
-	sub := sc.induce(vg, domain)
+	sub := &sc.sub
+	sub.Induce(vg, &sc.index)
 	partial := sc.unsetPartial(sub)
 	for _, v := range strip {
 		if d.nodeW > 0 {
@@ -259,12 +260,12 @@ func (d *decoder) decodeNode(lazy *local.View) any {
 			if idx >= len(d.nodeAlpha) {
 				return fmt.Errorf("node label index %d out of alphabet", idx)
 			}
-			partial.Node[sc.pos[v]] = d.nodeAlpha[idx]
+			partial.Node[sc.index.Pos(v)] = d.nodeAlpha[idx]
 		}
 		if d.edgeW > 0 {
 			for _, e := range vg.IncidentEdgesByID(v) {
 				w := vg.Other(e, v)
-				if sc.pos[w] < 0 {
+				if sc.index.Pos(w) < 0 {
 					continue
 				}
 				idx, err := read(d.edgeW)
@@ -274,7 +275,7 @@ func (d *decoder) decodeNode(lazy *local.View) any {
 				if idx >= len(d.edgeAlpha) {
 					return fmt.Errorf("edge label index %d out of alphabet", idx)
 				}
-				se := sub.EdgeIndex(sc.pos[v], sc.pos[w])
+				se := sub.EdgeIndex(sc.index.Pos(v), sc.index.Pos(w))
 				label := d.edgeAlpha[idx]
 				if partial.Edge[se] != lcl.Unset && partial.Edge[se] != label {
 					return fmt.Errorf("strip encodes edge %d inconsistently", se)
@@ -295,7 +296,7 @@ func (d *decoder) decodeNode(lazy *local.View) any {
 	if !ok {
 		return fmt.Errorf("cluster completion unsolvable (or over budget)")
 	}
-	return d.extractOutput(sub, completed, sc.pos[view.Center])
+	return d.extractOutput(sub, completed, sc.index.Pos(view.Center))
 }
 
 // unsetPartial resets the scratch's partial solution to an all-unset one
@@ -324,18 +325,16 @@ const completionBudget = 500000
 func (d *decoder) decodeSolo(view *local.Ball, sc *scratch) any {
 	vg := view.G
 	sc.sources = append(sc.sources[:0], view.Center)
-	comp := sc.domain[:0]
-	for _, v := range sc.within(vg, sc.sources, view.Radius) {
+	comp := vg.NearestSources(sc.sources, view.Radius, &sc.bfs)
+	for _, v := range comp {
 		// The component must be fully visible: no member at the view
 		// boundary.
 		if view.Dist[v] >= view.Radius-1 {
 			return fmt.Errorf("component extends beyond the view with no marker in sight")
 		}
-		comp = append(comp, int(v))
 	}
-	sc.domain = comp
-	sc.indexNodes(vg.N(), comp)
-	sub := sc.induce(vg, comp)
+	sub := &sc.sub
+	sub.Induce(vg, &sc.bfs) // the center is the traversal's source: node 0
 	all := sc.check[:0]
 	for i := range comp {
 		all = append(all, i)
@@ -345,7 +344,7 @@ func (d *decoder) decodeSolo(view *local.Ball, sc *scratch) any {
 	if !ok {
 		return fmt.Errorf("solo component unsolvable (or over budget)")
 	}
-	return d.extractOutput(sub, completed, sc.pos[view.Center])
+	return d.extractOutput(sub, completed, 0)
 }
 
 // extractOutput pulls one node's labels from a completed solution.

@@ -107,15 +107,13 @@ type scratch struct {
 	byMinID []int
 	sources []int
 	taken   []bool
-	// pos[v] is v's position in the node list last passed to indexNodes,
-	// or -1.
-	pos      []int
+	// index's visit order is the completion domain last built by
+	// domainNodes: index.Pos(v) is v's position in it, or -1.
+	index    graph.BFSScratch
 	strip    []int
 	domain   []int
 	carriers []int
 	check    []int
-	ids      []int64
-	edges    []graph.Edge
 	sub      graph.Graph
 	partial  lcl.Solution
 }
@@ -132,7 +130,7 @@ func buildClustering(g *graph.Graph, radius int, sc *scratch) *clustering {
 	for v := range c.cluster {
 		c.cluster[v] = -1
 	}
-	for _, center := range greedyCover(g, radius) {
+	for _, center := range g.GreedyRulingSet(g.NodesByID(), radius) {
 		// An isolated center is its own component and decodes alone.
 		if g.Degree(center) > 0 {
 			c.markers = append(c.markers, [2]int{center, smallestIDNeighbor(g, center)})
@@ -140,36 +138,6 @@ func buildClustering(g *graph.Graph, radius int, sc *scratch) *clustering {
 	}
 	assignVoronoi(g, c, sc)
 	return c
-}
-
-func greedyCover(g *graph.Graph, cover int) []int {
-	order := byID(g)
-	covered := make([]bool, g.N())
-	var set []int
-	for _, v := range order {
-		if covered[v] {
-			continue
-		}
-		set = append(set, v)
-		for _, u := range g.Ball(v, cover) {
-			covered[u] = true
-		}
-	}
-	return set
-}
-
-func byID(g *graph.Graph) []int {
-	order := make([]int, g.N())
-	for i := range order {
-		order[i] = i
-	}
-	sortByID(g, order)
-	return order
-}
-
-// sortByID sorts node indices by ID; IDs are unique, so the order is total.
-func sortByID(g *graph.Graph, nodes []int) {
-	slices.SortFunc(nodes, func(a, b int) int { return cmp.Compare(g.ID(a), g.ID(b)) })
 }
 
 func smallestIDNeighbor(g *graph.Graph, v int) int {
@@ -184,13 +152,9 @@ func smallestIDNeighbor(g *graph.Graph, v int) int {
 
 // assignVoronoi assigns every node reachable from a marker to the nearest
 // marker component (ties toward the component with the smaller minimum
-// member ID); the rest keep cluster -1.
-//
-// One multi-source BFS replaces the historical per-seed sweeps: seeds are
-// enqueued in increasing min-member-ID order, so within every distance layer
-// the queue stays grouped by that order, and the first marker to discover a
-// node is exactly the argmin of (distance, min member ID). O(n + m) total
-// instead of O(#markers * (n + m)).
+// member ID); the rest keep cluster -1. It is one multi-source BFS with the
+// markers' members queued in min-member-ID order, so a node's owning source
+// is the argmin of (distance, min member ID).
 func assignVoronoi(g *graph.Graph, c *clustering, sc *scratch) {
 	if len(c.markers) == 0 {
 		return
@@ -203,24 +167,13 @@ func assignVoronoi(g *graph.Graph, c *clustering, sc *scratch) {
 		return cmp.Compare(markerMinID(g, c.markers[a]), markerMinID(g, c.markers[b]))
 	})
 	sc.byMinID = byMinID
-	s := &sc.bfs
-	s.Begin(g.N())
+	sources := sc.sources[:0]
 	for _, mi := range byMinID {
-		for _, seed := range c.markers[mi] {
-			if !s.Visited(seed) {
-				s.Visit(seed, 0)
-				c.cluster[seed] = mi
-			}
-		}
+		sources = append(sources, c.markers[mi][0], c.markers[mi][1])
 	}
-	for head := 0; head < len(s.Order()); head++ {
-		u := int(s.Order()[head])
-		for _, w := range g.Neighbors(u) {
-			if !s.Visited(w) {
-				s.Visit(w, s.Dist(u)+1)
-				c.cluster[w] = c.cluster[u]
-			}
-		}
+	sc.sources = sources
+	for _, u := range g.NearestSources(sources, -1, &sc.bfs) {
+		c.cluster[u] = byMinID[sc.bfs.Owner(int(u))/2]
 	}
 }
 
@@ -230,33 +183,6 @@ func markerMinID(g *graph.Graph, m [2]int) int64 {
 		return a
 	}
 	return b
-}
-
-// within returns every node within distance r of a source, in BFS order,
-// as a slice owned by sc.bfs (which also holds the distances). It walks the
-// adjacency lists rather than a CSR snapshot, which a view graph, rebuilt
-// for every node, would have to allocate afresh.
-func (sc *scratch) within(g *graph.Graph, sources []int, r int) []int32 {
-	s := &sc.bfs
-	s.Begin(g.N())
-	for _, v := range sources {
-		if !s.Visited(v) {
-			s.Visit(v, 0)
-		}
-	}
-	for head := 0; head < len(s.Order()); head++ {
-		u := int(s.Order()[head])
-		d := s.Dist(u)
-		if d >= r {
-			continue
-		}
-		for _, w := range g.Neighbors(u) {
-			if !s.Visited(w) {
-				s.Visit(w, d+1)
-			}
-		}
-	}
-	return s.Order()
 }
 
 // stripNodes returns the boundary strip of cluster mi: every node within
@@ -272,66 +198,43 @@ func stripNodes(g *graph.Graph, c *clustering, mi, rbar int, sc *scratch) []int 
 		sc.sources = append(sc.sources, e.U, e.V)
 	}
 	strip := sc.strip[:0]
-	for _, v := range sc.within(g, sc.sources, rbar) {
+	for _, v := range g.NearestSources(sc.sources, rbar, &sc.bfs) {
 		strip = append(strip, int(v))
 	}
-	sortByID(g, strip)
+	g.SortByID(strip)
 	sc.strip = strip
 	return strip
 }
 
 // domainNodes returns the completion domain of cluster mi, its members plus
-// its strip, sorted by ID, and indexes it (sc.pos). The slice is owned by
+// its strip, sorted by ID, and indexes it (sc.index). The slice is owned by
 // sc.
 func domainNodes(g *graph.Graph, c *clustering, mi int, strip []int, sc *scratch) []int {
-	sc.indexNodes(g.N(), strip)
+	idx := &sc.index
+	idx.Begin(g.N())
+	for _, v := range strip {
+		idx.Visit(v, 0)
+	}
 	domain := append(sc.domain[:0], strip...)
 	for v := 0; v < g.N(); v++ {
-		if c.cluster[v] == mi && sc.pos[v] == -1 {
+		if c.cluster[v] == mi && !idx.Visited(v) {
 			domain = append(domain, v)
 		}
 	}
-	sortByID(g, domain)
+	g.SortByID(domain)
 	sc.domain = domain
-	sc.indexNodes(g.N(), domain)
+	idx.Begin(g.N())
+	for _, v := range domain {
+		idx.Visit(v, 0)
+	}
 	return domain
-}
-
-// indexNodes sets pos[v] to v's position in nodes, and to -1 for every
-// other node of an n-node graph.
-func (sc *scratch) indexNodes(n int, nodes []int) {
-	sc.pos = resized(sc.pos, n)
-	for v := range sc.pos {
-		sc.pos[v] = -1
-	}
-	for i, v := range nodes {
-		sc.pos[v] = i
-	}
-}
-
-// induce rebuilds sc.sub as the subgraph of g induced by nodes, in that
-// order (node i of the subgraph is nodes[i]), and returns it; nodes must be
-// indexed (indexNodes).
-func (sc *scratch) induce(g *graph.Graph, nodes []int) *graph.Graph {
-	sc.ids = sc.ids[:0]
-	sc.edges = sc.edges[:0]
-	for i, v := range nodes {
-		sc.ids = append(sc.ids, g.ID(v))
-		for _, w := range g.Neighbors(v) {
-			if j := sc.pos[w]; j > i {
-				sc.edges = append(sc.edges, graph.Edge{U: i, V: j})
-			}
-		}
-	}
-	sc.sub.Rebuild(sc.ids, sc.edges)
-	return &sc.sub
 }
 
 // stripBits serializes the solution on the strip: for each strip node in ID
 // order, its node label index (if the problem labels nodes), then the label
 // indices of its incident domain edges in neighbor-ID order (if the problem
-// labels edges). pos[v] >= 0 marks the domain's nodes.
-func (s Schema) stripBits(g *graph.Graph, sol *lcl.Solution, strip, pos []int) (bitstr.String, error) {
+// labels edges). index marks the completion domain (domainNodes).
+func (s Schema) stripBits(g *graph.Graph, sol *lcl.Solution, strip []int, index *graph.BFSScratch) (bitstr.String, error) {
 	nodeAlpha, edgeAlpha := s.Problem.NodeAlphabet(), s.Problem.EdgeAlphabet()
 	nodeW, edgeW := widthOf(nodeAlpha), widthOf(edgeAlpha)
 	out := bitstr.String{}
@@ -345,7 +248,7 @@ func (s Schema) stripBits(g *graph.Graph, sol *lcl.Solution, strip, pos []int) (
 		}
 		if edgeW > 0 {
 			for _, e := range g.IncidentEdgesByID(v) {
-				if pos[g.Other(e, v)] < 0 {
+				if !index.Visited(g.Other(e, v)) {
 					continue
 				}
 				idx, err := alphaIndex(edgeAlpha, sol.Edge[e])
@@ -370,13 +273,13 @@ func (s Schema) dataCarriers(g *graph.Graph, c *clustering, mi int, sc *scratch)
 	// neighbors) are exactly those at distance <= 1 from the pair.
 	sc.sources = append(sc.sources[:0], m[0], m[1])
 	zone := sc.carriers[:0]
-	for _, u := range sc.within(g, sc.sources, s.dataRadius()) {
+	for _, u := range g.NearestSources(sc.sources, s.dataRadius(), &sc.bfs) {
 		v := int(u)
 		if sc.bfs.Dist(v) > 1 && c.cluster[v] == mi {
 			zone = append(zone, v)
 		}
 	}
-	sortByID(g, zone)
+	g.SortByID(zone)
 	// Greedy independent subset, kept in place: carriers[:k] never
 	// overtakes the zone entry being read.
 	sc.taken = resized(sc.taken, g.N())

@@ -12,44 +12,42 @@ import (
 // an HTTP request — and are shared by the locad CLI and internal/server, so
 // a served experiment and a CLI experiment run through identical code.
 
-// GraphFamilies lists the graph families BuildGraph accepts, in the order
-// the CLI documents them.
-func GraphFamilies() []string {
-	return []string{"cycle", "path", "grid", "torus", "regular", "planted3", "planted4", "gnp"}
+// graphFamily is one family BuildGraph builds: its name, whether its
+// construction reads the seed, and the construction (rng is nil for a
+// family that does not).
+type graphFamily struct {
+	name   string
+	seeded bool
+	build  func(n int, rng *rand.Rand) (*graph.Graph, error)
 }
 
-// BuildGraph constructs a graph from a family name, target size and seed —
-// the shared graph-construction vocabulary of the locad CLI flags and the
-// serving API's graph specs. Grids and tori use the nearest rectangle to n;
-// the seed drives generated structure (regular, planted) and ID
-// permutations, and is ignored by the deterministic families.
-func BuildGraph(family string, n int, seed int64) (*graph.Graph, error) {
-	rng := rand.New(rand.NewSource(seed))
-	switch family {
-	case "cycle":
-		return graph.TryCycle(n)
-	case "path":
-		return graph.TryPath(n)
-	case "grid":
+// graphFamilies is the one table of the families BuildGraph accepts, in
+// the order the CLI documents them. Grids and tori use the nearest
+// rectangle to n; the seed drives generated structure (regular, planted,
+// gnp) and ID permutations.
+var graphFamilies = []graphFamily{
+	{"cycle", false, func(n int, _ *rand.Rand) (*graph.Graph, error) { return graph.TryCycle(n) }},
+	{"path", false, func(n int, _ *rand.Rand) (*graph.Graph, error) { return graph.TryPath(n) }},
+	{"grid", false, func(n int, _ *rand.Rand) (*graph.Graph, error) {
 		side := intSqrt(n)
 		return graph.TryGrid2D(side, (n+side-1)/side)
-	case "torus":
-		side := intSqrt(n)
-		if side < 3 {
-			side = 3
-		}
+	}},
+	{"torus", false, func(n int, _ *rand.Rand) (*graph.Graph, error) {
+		side := max(intSqrt(n), 3)
 		return graph.TryTorus2D(side, (n+side-1)/side)
-	case "regular":
-		return graph.RandomRegular(n, 4, rng)
-	case "planted3":
+	}},
+	{"regular", true, func(n int, rng *rand.Rand) (*graph.Graph, error) { return graph.RandomRegular(n, 4, rng) }},
+	{"planted3", true, func(n int, rng *rand.Rand) (*graph.Graph, error) {
 		g, _ := graph.RandomColorable(n, 3, 0.12, rng)
 		graph.AssignPermutedIDs(g, rng)
 		return g, nil
-	case "planted4":
+	}},
+	{"planted4", true, func(n int, rng *rand.Rand) (*graph.Graph, error) {
 		g, _ := graph.RandomColorable(n, 4, 0.22, rng)
 		graph.AssignPermutedIDs(g, rng)
 		return g, nil
-	case "gnp":
+	}},
+	{"gnp", true, func(n int, rng *rand.Rand) (*graph.Graph, error) {
 		if n < 1 {
 			return nil, fmt.Errorf("gnp graph needs n >= 1, got %d", n)
 		}
@@ -58,9 +56,46 @@ func BuildGraph(family string, n int, seed int64) (*graph.Graph, error) {
 		g := graph.RandomGNP(n, 8.0/float64(n), rng)
 		graph.AssignPermutedIDs(g, rng)
 		return g, nil
-	default:
-		return nil, fmt.Errorf("unknown graph family %q", family)
+	}},
+}
+
+// GraphFamilies lists the graph families BuildGraph accepts, in the order
+// the CLI documents them.
+func GraphFamilies() []string {
+	names := make([]string, len(graphFamilies))
+	for i, f := range graphFamilies {
+		names[i] = f.name
 	}
+	return names
+}
+
+// GraphReadsSeed reports whether BuildGraph's construction of family reads
+// the seed. The other families (cycle, path, grid, torus) give one graph
+// at every seed. An unknown family counts as reading it.
+func GraphReadsSeed(family string) bool {
+	for _, f := range graphFamilies {
+		if f.name == family {
+			return f.seeded
+		}
+	}
+	return true
+}
+
+// BuildGraph constructs a graph from a family name, target size and seed —
+// the shared graph-construction vocabulary of the locad CLI flags and the
+// serving API's graph specs (graphFamilies).
+func BuildGraph(family string, n int, seed int64) (*graph.Graph, error) {
+	for _, f := range graphFamilies {
+		if f.name != family {
+			continue
+		}
+		var rng *rand.Rand
+		if f.seeded {
+			rng = rand.New(rand.NewSource(seed))
+		}
+		return f.build(n, rng)
+	}
+	return nil, fmt.Errorf("unknown graph family %q", family)
 }
 
 func intSqrt(n int) int {

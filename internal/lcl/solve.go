@@ -93,6 +93,7 @@ type solver struct {
 	order   []int
 	isCheck []bool
 	bfs     graph.BFSScratch
+	sources []int
 	// affected[start[i]:start[i+1]] are the check nodes within distance
 	// Radius of vars[i], ascending: the constraints a label of vars[i]
 	// can break.
@@ -119,7 +120,7 @@ func (s *solver) orderVars() {
 		for v := 0; v < g.N(); v++ {
 			s.order = append(s.order, v)
 		}
-		slices.SortFunc(s.order, func(a, b int) int { return cmp.Compare(g.ID(a), g.ID(b)) })
+		g.SortByID(s.order)
 		for _, v := range s.order {
 			if s.sol.Node[v] == Unset {
 				s.vars = append(s.vars, variable{isEdge: false, index: v})
@@ -160,31 +161,15 @@ func (s *solver) collectAffected() {
 	s.affected = s.affected[:0]
 	s.start = append(s.start[:0], 0)
 	for _, va := range s.vars {
-		s.bfs.Begin(n)
 		if va.isEdge {
 			e := g.Edge(va.index)
-			s.bfs.Visit(e.U, 0)
-			s.bfs.Visit(e.V, 0)
+			s.sources = append(s.sources[:0], e.U, e.V)
 		} else {
-			s.bfs.Visit(va.index, 0)
+			s.sources = append(s.sources[:0], va.index)
 		}
-		// Bounded BFS over the adjacency lists; a CSR snapshot would cost
-		// an allocation per graph, and the graphs here are small and often
-		// built for a single call.
-		for head := 0; head < len(s.bfs.Order()); head++ {
-			u := int(s.bfs.Order()[head])
-			d := s.bfs.Dist(u)
-			if d >= r {
-				continue
-			}
-			for _, w := range g.Neighbors(u) {
-				if !s.bfs.Visited(w) {
-					s.bfs.Visit(w, d+1)
-				}
-			}
-		}
+		reached := g.NearestSources(s.sources, r, &s.bfs)
 		from := len(s.affected)
-		for _, u := range s.bfs.Order() {
+		for _, u := range reached {
 			if s.isCheck[u] {
 				s.affected = append(s.affected, int(u))
 			}

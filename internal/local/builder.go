@@ -40,13 +40,6 @@ type RunConfig struct {
 	// byte-identical to an uninstrumented build.
 	Metrics *obs.Collector
 
-	// FrugalRadius is the skeleton cluster radius ρ used by RunFrugal;
-	// zero selects the package default (DefaultFrugalRadius) and negative
-	// values are rejected with an error wrapping ErrFrugalRadius. The
-	// other engines ignore it. Larger ρ means fewer, deeper clusters —
-	// fewer skeleton edges but a larger 2ρ+1 round overhead.
-	FrugalRadius int
-
 	// DetLLL is read by no code: the engines fix advice before a run
 	// starts, and the deterministic LLL path is chosen by schema name
 	// (the server's orientdet/color3det entries) or by

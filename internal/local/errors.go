@@ -16,10 +16,4 @@ var (
 	// while the message engines' gather decides after one round, so the
 	// engines would disagree; both entry points reject it instead.
 	ErrNegativeRadius = errors.New("local: negative view radius")
-
-	// ErrFrugalRadius tags frugal-engine runs configured with an invalid
-	// skeleton cluster radius ρ: RunFrugal rejects negative values (0 is
-	// the documented use-the-default sentinel), and the locad CLI
-	// additionally rejects an explicit -rho 0.
-	ErrFrugalRadius = errors.New("local: invalid skeleton radius")
 )

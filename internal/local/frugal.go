@@ -1,7 +1,6 @@
 package local
 
 import (
-	"fmt"
 	"reflect"
 
 	"localadvice/internal/graph"
@@ -40,20 +39,18 @@ import (
 //     obs.ApproxSize times the number of skeleton hops it travels, so byte
 //     totals reflect real bandwidth, not just envelope counts.
 
-// DefaultFrugalRadius is the skeleton cluster radius ρ used when
-// RunConfig.FrugalRadius is unset (zero). ρ=2 keeps the round overhead at
-// 2ρ+1 = 5 while already collapsing grid/torus neighborhoods into few
-// clusters.
+// DefaultFrugalRadius is the skeleton cluster radius ρ of every RunFrugal
+// run. ρ=2 keeps the round overhead at 2ρ+1 = 5 while already collapsing
+// grid/torus neighborhoods into few clusters.
 const DefaultFrugalRadius = 2
 
 // RunFrugal executes protocol on g with the given advice using the
 // bandwidth-frugal engine. Outputs are bit-identical to Run and
 // RunSequential; Stats.Messages is the skeleton transport total (typically
 // far below the stock engines'), and Stats.Rounds includes the 2ρ+1
-// pipelined forwarding overhead. cfg carries the worker count, fault plan,
-// metrics collector, and skeleton radius (FrugalRadius; zero selects
-// DefaultFrugalRadius, negative values are an error wrapping
-// ErrFrugalRadius). Fault plans behave exactly as in Run — the same sweep
+// pipelined forwarding overhead (ρ = DefaultFrugalRadius). cfg carries the
+// worker count, fault plan and metrics collector. Fault plans behave
+// exactly as in Run — the same sweep
 // executes, so crash rounds, advice flips and ID reassignment produce
 // identical outputs and typed errors.
 //
@@ -62,18 +59,10 @@ const DefaultFrugalRadius = 2
 // traffic in LogicalMessages/LogicalBytes; the ratio of the two is the
 // engine's measured message reduction.
 func RunFrugal(g *graph.Graph, protocol Protocol, advice Advice, cfg RunConfig) ([]any, Stats, error) {
-	rho := cfg.FrugalRadius
-	if rho < 0 {
-		return nil, Stats{}, fmt.Errorf("%w: FrugalRadius %d is negative (0 selects the default ρ=%d)",
-			ErrFrugalRadius, rho, DefaultFrugalRadius)
-	}
-	if rho == 0 {
-		rho = DefaultFrugalRadius
-	}
 	hk := &schedHook{
 		engine: "frugal",
 		init: func(g *graph.Graph, pt portTable) func(int, []Message, []Message) (int64, int64) {
-			return newFrugalAccountant(g, rho, pt).account
+			return newFrugalAccountant(g, DefaultFrugalRadius, pt).account
 		},
 	}
 	outputs, st, err := runSchedulerCore(g, protocol, advice, cfg, hk)
@@ -84,7 +73,7 @@ func RunFrugal(g *graph.Graph, protocol Protocol, advice Advice, cfg RunConfig) 
 		// Each simulated round is pipelined over 2ρ+1 real rounds of
 		// skeleton forwarding; with pipelining the whole run pays the
 		// overhead once, as latency.
-		st.Rounds += 2*rho + 1
+		st.Rounds += 2*DefaultFrugalRadius + 1
 	}
 	return outputs, st, nil
 }

@@ -1,7 +1,6 @@
 package local
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -136,71 +135,6 @@ func checkFloodReduction(t *testing.T, g *graph.Graph, want floodCounts) {
 	}
 	if got != want {
 		t.Errorf("flood counts on %s:\n got %+v\nwant %+v", g, got, want)
-	}
-}
-
-// TestFrugalRadiusTradeoff pins the FrugalRadius knob: a larger ρ costs more
-// round overhead, and any ρ preserves outputs.
-func TestFrugalRadiusTradeoff(t *testing.T) {
-	g := graph.Grid2D(12, 12)
-	p := floodSetup(t, g)
-	refOut, refStats, err := Run(g, p, nil, RunConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rho := range []int{1, 2, 4} {
-		out, stats, err := RunFrugal(g, p, nil, RunConfig{FrugalRadius: rho})
-		if err != nil {
-			t.Fatalf("ρ=%d: %v", rho, err)
-		}
-		if want := refStats.Rounds + 2*rho + 1; stats.Rounds != want {
-			t.Errorf("ρ=%d: rounds %d, want %d", rho, stats.Rounds, want)
-		}
-		for v := range out {
-			if out[v] != refOut[v] {
-				t.Fatalf("ρ=%d node %d: output %v, stock %v", rho, v, out[v], refOut[v])
-			}
-		}
-	}
-}
-
-// TestFrugalRadiusValidation is the engine-boundary table of the skeleton
-// radius: a negative ρ is a typed error, zero selects the documented default, and
-// explicit positive radii shift the round overhead by exactly 2ρ+1.
-func TestFrugalRadiusValidation(t *testing.T) {
-	g := graph.Cycle(16)
-	protocol := func() Protocol { return &GatherProtocol{Radius: 2, Decide: viewFingerprint} }
-	_, refStats, err := RunSequential(g, protocol(), nil, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		rho        int
-		wantErr    bool
-		wantRounds int
-	}{
-		{rho: -1, wantErr: true},
-		{rho: 0, wantRounds: refStats.Rounds + 2*DefaultFrugalRadius + 1},
-		{rho: 1, wantRounds: refStats.Rounds + 3},
-		{rho: 4, wantRounds: refStats.Rounds + 9},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("rho=%d", tc.rho), func(t *testing.T) {
-			_, stats, err := RunFrugal(g, protocol(), nil, RunConfig{FrugalRadius: tc.rho})
-			if tc.wantErr {
-				if !errors.Is(err, ErrFrugalRadius) {
-					t.Fatalf("err = %v, want ErrFrugalRadius", err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Rounds != tc.wantRounds {
-				t.Fatalf("rounds = %d, want %d (protocol rounds %d + 2ρ+1)",
-					stats.Rounds, tc.wantRounds, refStats.Rounds)
-			}
-		})
 	}
 }
 

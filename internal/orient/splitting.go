@@ -2,7 +2,6 @@ package orient
 
 import (
 	"fmt"
-	"sort"
 
 	"localadvice/internal/bitstr"
 	"localadvice/internal/core"
@@ -52,37 +51,12 @@ func (t TwoColoringStage) EncodeVar(g *graph.Graph, _ []*lcl.Solution) (core.Var
 	if !ok {
 		return nil, fmt.Errorf("orient: graph is not bipartite")
 	}
-	set, err := rulingSetGreedy(g, t.CoverRadius)
-	if err != nil {
-		return nil, err
-	}
+	set := g.GreedyRulingSet(g.NodesByID(), t.CoverRadius)
 	va := make(core.VarAdvice, len(set))
 	for _, v := range set {
 		va[v] = bitstr.New(side[v])
 	}
 	return va, nil
-}
-
-// rulingSetGreedy returns a set at pairwise distance >= cover+1 with
-// covering radius cover, greedily by ID.
-func rulingSetGreedy(g *graph.Graph, cover int) ([]int, error) {
-	order := make([]int, g.N())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return g.ID(order[a]) < g.ID(order[b]) })
-	covered := make([]bool, g.N())
-	var set []int
-	for _, v := range order {
-		if covered[v] {
-			continue
-		}
-		set = append(set, v)
-		for _, u := range g.Ball(v, cover) {
-			covered[u] = true
-		}
-	}
-	return set, nil
 }
 
 // DecodeVar implements core.VarSchema.

@@ -130,3 +130,72 @@ func TestDetModeDecodeVerifies(t *testing.T) {
 		t.Errorf("orientdet advice differs across request seeds")
 	}
 }
+
+// TestSeedFreeGraphOneEntry pins graph keys to what BuildGraph reads: the
+// families that ignore the seed are one resident graph at every seed, the
+// seeded ones one per seed, and a seed-dependent schema still makes one
+// advice artifact per seed on the shared graph. Keyed with the seed, 16
+// mis decodes of cycle-1024 left 16 copies of one graph.
+func TestSeedFreeGraphOneEntry(t *testing.T) {
+	s := newTestServer(t, Config{})
+	count := func(prefix string) int {
+		n := 0
+		for _, k := range s.cache.Keys() {
+			if strings.HasPrefix(k, prefix) {
+				n++
+			}
+		}
+		return n
+	}
+	post := func(schema, family string, seed int) {
+		body := fmt.Sprintf(`{"schema":%q,"graph":{"family":%q,"n":1024,"seed":%d}}`, schema, family, seed)
+		if w := doReq(t, s, "POST", "/v1/decode", body); w.Code != 200 {
+			t.Fatalf("%s on %s seed %d: %d %s", schema, family, seed, w.Code, w.Body)
+		}
+	}
+	for seed := 0; seed < 16; seed++ {
+		post("mis", "cycle", seed)
+	}
+	if got := count("graph:cycle:"); got != 1 {
+		t.Errorf("16 seeds of cycle-1024 left %d graph entries, want 1", got)
+	}
+	for seed := 1; seed <= 2; seed++ {
+		post("mis", "regular", seed)
+	}
+	if got := count("graph:regular:"); got != 2 {
+		t.Errorf("2 seeds of regular-1024 left %d graph entries, want 2", got)
+	}
+	before := count("advice:")
+	for seed := 1; seed <= 2; seed++ {
+		post("orientlll", "cycle", seed)
+	}
+	if got := count("advice:") - before; got != 2 {
+		t.Errorf("orientlll on cycle-1024 at 2 seeds left %d advice entries, want 2", got)
+	}
+
+	// An inline graph is one entry whatever the seed, and a second seed
+	// still gets advice of its own: the resident entry does not carry the
+	// seed of the request that parsed it.
+	var text strings.Builder
+	text.WriteString("n 256\n")
+	for v := 0; v < 256; v++ {
+		fmt.Fprintf(&text, "e %d %d\n", v, (v+1)%256)
+	}
+	spec, err := json.Marshal(text.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = count("advice:")
+	for seed := 1; seed <= 2; seed++ {
+		body := fmt.Sprintf(`{"schema":"orientlll","graph":{"text":%s,"seed":%d}}`, spec, seed)
+		if w := doReq(t, s, "POST", "/v1/decode", body); w.Code != 200 {
+			t.Fatalf("orientlll on inline cycle-256 seed %d: %d %s", seed, w.Code, w.Body)
+		}
+	}
+	if got := count("graph:text:"); got != 1 {
+		t.Errorf("2 seeds of one inline graph left %d graph entries, want 1", got)
+	}
+	if got := count("advice:") - before; got != 2 {
+		t.Errorf("orientlll on one inline graph at 2 seeds left %d advice entries, want 2", got)
+	}
+}

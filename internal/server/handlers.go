@@ -37,8 +37,10 @@ type GraphSpec struct {
 
 // specCacheKey maps a graph spec onto its cache key — `graph:text:<sha256>`
 // for inline edge lists, `graph:<family>:<n>:<seed>` for generated families
-// (DESIGN.md §7). The key is a pure function of the request bytes, so
-// resolveGraph finds a resident graph without building or parsing it.
+// whose construction reads the seed, and `graph:<family>:<n>` for those
+// that give one graph at every seed (DESIGN.md §7). The key is a pure
+// function of the request bytes, so resolveGraph finds a resident graph
+// without building or parsing it.
 func specCacheKey(spec GraphSpec) (string, error) {
 	switch {
 	case spec.Text != "":
@@ -52,6 +54,9 @@ func specCacheKey(spec GraphSpec) (string, error) {
 			return "", errf(http.StatusBadRequest, "bad_graph_spec",
 				"graph spec needs n > 0, got %d", spec.N)
 		}
+		if !harness.GraphReadsSeed(spec.Family) {
+			return fmt.Sprintf("graph:%s:%d", spec.Family, spec.N), nil
+		}
 		return fmt.Sprintf("graph:%s:%d:%d", spec.Family, spec.N, spec.Seed), nil
 	default:
 		return "", errf(http.StatusBadRequest, "bad_graph_spec",
@@ -59,17 +64,19 @@ func specCacheKey(spec GraphSpec) (string, error) {
 	}
 }
 
-// cachedGraph is the resident form of a resolved graph: the graph with its
-// CSR snapshot prebuilt, plus its digest (the root of every derived cache
-// key).
+// cachedGraph is a resolved graph: the graph with its CSR snapshot
+// prebuilt, its digest (the root of every derived cache key), and the
+// request's seed.
 type cachedGraph struct {
 	g      *graph.Graph
 	digest string
-	// seed is the request spec's generator seed (0 for inline edge lists).
-	// Seed-dependent schemas fold it into their advice keys; the generated
-	// families that ignore their seed (cycle, path, grid, torus) therefore
-	// produce one graph digest but many advice artifacts under a seeded
-	// schema — and exactly one under a det-mode schema.
+	// seed is the request spec's seed. Seed-dependent schemas fold it into
+	// their advice keys, so one resident graph of a family that ignores
+	// its seed (cycle, path, grid, torus), or of an inline edge list,
+	// yields one advice artifact per seed under a seeded schema — and
+	// exactly one under a det-mode schema. The resident entry carries the
+	// seed its key names, or 0 where the key names none; resolveGraph
+	// hands other seeds a copy.
 	seed int64
 }
 
@@ -294,14 +301,22 @@ func (s *Server) resolveGraph(spec GraphSpec, cached bool, src string) (*cachedG
 				"graph has %d nodes, server bound is %d", g.N(), s.cfg.MaxNodes)
 		}
 		g.Snapshot() // prebuild the CSR so every later engine run reuses it
-		// The LRU key is the spec key, which includes the seed, so the
-		// cached entry's seed always matches the request that hits it.
-		return &cachedGraph{g: g, digest: g.Digest(), seed: spec.Seed}, graphSize(g), nil
+		var seed int64
+		if spec.Text == "" && harness.GraphReadsSeed(spec.Family) {
+			seed = spec.Seed // the key names it
+		}
+		return &cachedGraph{g: g, digest: g.Digest(), seed: seed}, graphSize(g), nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	return v.(*cachedGraph), hit, nil
+	cg := v.(*cachedGraph)
+	if cg.seed != spec.Seed {
+		c := *cg
+		c.seed = spec.Seed
+		cg = &c
+	}
+	return cg, hit, nil
 }
 
 // graphSize estimates a resident graph's footprint: IDs, adjacency +
@@ -762,22 +777,23 @@ func (s *Server) handleVerify(ctx context.Context, r *http.Request) (any, error)
 
 // ExperimentRequest is the body of POST /v1/experiment.
 type ExperimentRequest struct {
-	ID      string `json:"id"`
-	Observe bool   `json:"observe,omitempty"`
-	Cache   *bool  `json:"cache,omitempty"`
+	ID    string `json:"id"`
+	Cache *bool  `json:"cache,omitempty"`
 }
 
 // ExperimentResponse is its reply: the experiment's table both structured
-// and rendered, plus the obs summary when the run was observed.
+// and rendered. The server runs experiments unobserved: observation goes
+// through the process-wide obs default collector, which every concurrent
+// request's engine runs would report into. `locad exp -summary` and
+// `-trace` observe an experiment in a process of its own.
 type ExperimentResponse struct {
-	ID       string       `json:"id"`
-	Title    string       `json:"title"`
-	Header   []string     `json:"header"`
-	Rows     [][]string   `json:"rows"`
-	Notes    []string     `json:"notes,omitempty"`
-	Rendered string       `json:"rendered"`
-	Cached   bool         `json:"cached"`
-	Summary  *obs.Summary `json:"summary,omitempty"`
+	ID       string     `json:"id"`
+	Title    string     `json:"title"`
+	Header   []string   `json:"header"`
+	Rows     [][]string `json:"rows"`
+	Notes    []string   `json:"notes,omitempty"`
+	Rendered string     `json:"rendered"`
+	Cached   bool       `json:"cached"`
 }
 
 func (s *Server) handleExperiment(ctx context.Context, r *http.Request) (any, error) {
@@ -786,13 +802,7 @@ func (s *Server) handleExperiment(ctx context.Context, r *http.Request) (any, er
 		return nil, err
 	}
 	run := func() (*ExperimentResponse, error) {
-		if req.Observe {
-			// Observation routes engine metrics through the process-wide
-			// default collector; concurrent observed runs would interleave.
-			s.expMu.Lock()
-			defer s.expMu.Unlock()
-		}
-		res, err := harness.RunOne(req.ID, req.Observe)
+		res, err := harness.RunOne(req.ID, false)
 		if err != nil {
 			if strings.Contains(err.Error(), "unknown experiment") {
 				return nil, errf(http.StatusNotFound, "unknown_experiment", "%v", err)
@@ -808,14 +818,10 @@ func (s *Server) handleExperiment(ctx context.Context, r *http.Request) (any, er
 			Rows:     res.Table.Rows,
 			Notes:    res.Table.Notes,
 			Rendered: sb.String(),
-			Summary:  res.Summary,
 		}, nil
 	}
-	// Observed runs carry machine-specific metrics and are never cached.
-	if req.Observe || !s.useCache(req.Cache) {
-		if !req.Observe {
-			s.bypasses["experiment"].Add(1)
-		}
+	if !s.useCache(req.Cache) {
+		s.bypasses["experiment"].Add(1)
 		return run()
 	}
 	key := "exp:" + strings.ToUpper(req.ID)

@@ -134,12 +134,7 @@ func schemaNames(schemas map[string]*schemaEntry) []string {
 // encodes its indicator as 1 bit per node — the advice assignment whose
 // existence the E2 brute-force search measures the cost of finding.
 func misEncode(g *graph.Graph) (local.Advice, error) {
-	order := make([]int, g.N())
-	for v := range order {
-		order[v] = v
-	}
-	sort.Slice(order, func(a, b int) bool { return g.ID(order[a]) < g.ID(order[b]) })
-	return greedyMIS(g, order), nil
+	return greedyMIS(g, g.NodesByID()), nil
 }
 
 // greedyMIS is the indicator, 1 bit per node, of the greedy maximal

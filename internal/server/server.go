@@ -123,10 +123,6 @@ type Server struct {
 
 	storeMetrics *obs.StoreMetrics
 
-	// expMu serializes observed experiment runs: observation goes through
-	// the process-wide obs default collector, which must not be shared.
-	expMu sync.Mutex
-
 	metrics map[string]*obs.EndpointMetrics
 
 	srvMu   sync.Mutex

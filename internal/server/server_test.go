@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -447,8 +448,8 @@ func TestFlushResetsCache(t *testing.T) {
 	}
 }
 
-// TestExperimentEndpoint pins the /v1/experiment surface: structured table,
-// caching, and the never-cache-observed-runs rule.
+// TestExperimentEndpoint pins the /v1/experiment surface: structured table
+// and caching.
 func TestExperimentEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 	w := doReq(t, s, "POST", "/v1/experiment", `{"id":"e2"}`)
@@ -462,8 +463,8 @@ func TestExperimentEndpoint(t *testing.T) {
 	if r1.ID != "E2" || len(r1.Rows) == 0 || r1.Rendered == "" {
 		t.Fatalf("experiment response shape: id=%q rows=%d", r1.ID, len(r1.Rows))
 	}
-	if r1.Cached || r1.Summary != nil {
-		t.Errorf("first unobserved run: cached=%v summary=%v", r1.Cached, r1.Summary)
+	if r1.Cached {
+		t.Error("first run served from cache")
 	}
 
 	w = doReq(t, s, "POST", "/v1/experiment", `{"id":"E2"}`)
@@ -475,19 +476,30 @@ func TestExperimentEndpoint(t *testing.T) {
 		t.Error("repeat experiment request missed the cache")
 	}
 
-	w = doReq(t, s, "POST", "/v1/experiment", `{"id":"E2","observe":true}`)
-	if w.Code != 200 {
-		t.Fatalf("observed experiment: %d %s", w.Code, w.Body)
-	}
-	var r3 ExperimentResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &r3); err != nil {
-		t.Fatal(err)
-	}
-	if r3.Cached {
-		t.Error("observed run served from cache")
-	}
-	if r3.Summary == nil {
-		t.Error("observed run carries no metrics summary")
+}
+
+// TestExperimentIgnoresObserve pins that /v1/experiment never observes a
+// run: observation goes through the process-wide obs collector, so an
+// observed run reported the engine runs of every concurrent decode. A
+// request that still carries "observe":true gets the plain table, without
+// a summary, and the cache serves its repeat.
+func TestExperimentIgnoresObserve(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for i, wantCached := range []bool{false, true} {
+		w := doReq(t, s, "POST", "/v1/experiment", `{"id":"E2","observe":true}`)
+		if w.Code != 200 {
+			t.Fatalf("request %d: %d %s", i, w.Code, w.Body)
+		}
+		var body map[string]json.RawMessage
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := body["summary"]; ok {
+			t.Errorf("request %d: the answer carries a summary", i)
+		}
+		if got := string(body["cached"]); got != strconv.FormatBool(wantCached) {
+			t.Errorf("request %d: cached=%s, want %v", i, got, wantCached)
+		}
 	}
 }
 
